@@ -221,7 +221,11 @@ def cmd_family(args):
 
 
 def cmd_fuzz(args):
-    summary = run_fuzz(args.n, args.m, args.samples, args.seed, tol=args.tol)
+    try:
+        summary = run_fuzz(args.n, args.m, args.samples, args.seed, tol=args.tol)
+    except ValueError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return 1
     print(f"samples: {summary.samples}")
     print(f"hard failures: {summary.hard_failures}")
     print(f"conjecture violation candidates: {summary.conjecture_violations}")

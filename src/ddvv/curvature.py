@@ -100,7 +100,7 @@ class CurvatureInvariants:
 
 def traceless_parts(s: ShapeOperatorSet) -> MatrixTuple:
     """Remove the mean-curvature multiple of the identity from each operator."""
-    return MatrixTuple(np.stack([traceless_project(op) for op in s.ops]))
+    return MatrixTuple(traceless_project(s.ops))
 
 
 def mean_curvature_sq(s: ShapeOperatorSet) -> float:

@@ -3,6 +3,7 @@
 Maximizes F(B_1, ..., B_m) = sum over ordered pairs of ||[B_a, B_b]||^2 on
 the unit sphere of traceless symmetric tuples (sum ||B_a||^2 = 1).  The
 known ceiling in proved regimes is 1, attained on rank-2 rotated pairs.
+The restarts of a search advance together as one (R, m, n, n) stack.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .curvature import MatrixTuple
 from .inequalities import gram_diagonalizing_mix
 
 VIOLATION_THRESHOLD = 1.0 + 1e-6
+STOP_REASONS = ("grad_tol", "line_search", "max_iters")
+MIN_STEP = 1e-18
+BATCH_ENTRIES = 2**22  # entries of the block products of one batch of restarts
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,12 @@ class SearchConfig:
 class RestartOutcome:
     value: float
     iterations: int
-    converged: bool
+    stop_reason: str  # one of STOP_REASONS
+
+    @property
+    def converged(self):
+        """True unless the restart ran out of iterations."""
+        return self.stop_reason != "max_iters"
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ class SearchReport:
             "best_tuple": [b.tolist() for b in self.best_tuple.mats],
             "per_restart": [
                 {"value": r.value, "iterations": r.iterations,
-                 "converged": r.converged}
+                 "converged": r.converged, "stop_reason": r.stop_reason}
                 for r in self.per_restart
             ],
             "config": self.config.as_dict(),
@@ -77,85 +86,136 @@ class SearchReport:
         }
 
 
+def _stack(t):
+    return t.mats if isinstance(t, MatrixTuple) else np.asarray(t, dtype=float)
+
+
 def _sym_traceless(stack):
-    stack = (stack + np.transpose(stack, (0, 2, 1))) / 2.0
-    n = stack.shape[1]
-    traces = np.trace(stack, axis1=1, axis2=2)
-    return stack - traces[:, None, None] * np.eye(n) / n
+    out = stack + np.swapaxes(stack, -1, -2)
+    out *= 0.5
+    diag = np.einsum("...ii->...i", out)  # a writable view
+    diag -= np.sum(diag, axis=-1, keepdims=True) / out.shape[-1]
+    return out
 
 
-def objective(t) -> float:
-    """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2."""
-    mats = t.mats if isinstance(t, MatrixTuple) else np.asarray(t, dtype=float)
-    prod = np.einsum("aij,bjk->abik", mats, mats)
-    comm = prod - np.transpose(prod, (1, 0, 2, 3))
-    return float(np.sum(comm * comm))
+def _products(mats):
+    """Q = sum_b B_b^2 and W_g = sum_b B_b B_g B_b of a (..., m, n, n) stack.
+
+    One batched GEMM, (R, mn, n) @ (R, n, mn), gives every product
+    B_g B_b as block (g, b); W_g contracts row block g of it, read as
+    ((j, b), k) without a copy, with [i, (j, b)] = (B_b)_ij.
+    """
+    lead, (m, n) = mats.shape[:-3], mats.shape[-3:-1]
+    stack = mats.reshape(-1, m, n, n)
+    rows = stack.reshape(-1, m * n, n)  # [B_1; ...; B_m]
+    cols = stack.transpose(0, 2, 1, 3).reshape(-1, n, m * n)  # [B_1 | ... | B_m]
+    prod = rows @ cols
+    q = cols @ rows
+    w = stack.transpose(0, 2, 3, 1).reshape(-1, 1, n, n * m) @ prod.reshape(-1, m, n * m, n)
+    return q.reshape(*lead, n, n), w.reshape(mats.shape)
+
+
+def objective(t, parts=None):
+    """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2.
+
+    Evaluated as 2 (||Q||^2 - sum_g <B_g, W_g>) from `_products`; `parts`
+    is that (Q, W) of `t` when already computed.  A (..., m, n, n) stack
+    gives an array of values, one tuple a float.
+    """
+    mats = _stack(t)
+    q, w = _products(mats) if parts is None else parts
+    value = 2.0 * (np.sum(q * q, axis=(-2, -1)) - np.sum(mats * w, axis=(-3, -2, -1)))
+    return float(value) if mats.ndim == 3 else value
 
 
 def normalize(t):
-    """Traceless-project and scale so the total squared norm is 1."""
-    mats = t.mats if isinstance(t, MatrixTuple) else np.asarray(t, dtype=float)
-    mats = _sym_traceless(mats)
-    total = np.sum(mats * mats)
-    if total <= 0:
+    """Traceless-project and scale each tuple so its total squared norm is 1."""
+    mats = _sym_traceless(_stack(t))
+    total = np.sum(mats * mats, axis=(-3, -2, -1), keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("cannot normalize a zero tuple")
     return mats / np.sqrt(total)
 
 
-def gradient(t):
+def gradient(t, parts=None):
     """Euclidean gradient of the objective on the traceless symmetric space.
 
-    dF/dB_g = 4 sum_b [[B_g, B_b], B_b]; each term is symmetric and
-    traceless already, projection is kept for numerical hygiene.
+    dF/dB_g = 4 sum_b [[B_g, B_b], B_b] = 4 (B_g Q + Q B_g - 2 W_g), which
+    is 8 times the symmetric part of B_g Q - W_g as B_g, Q and W_g are
+    symmetric; the traceless projection is kept for numerical hygiene.
+    `parts` as in `objective`.
     """
-    mats = t.mats if isinstance(t, MatrixTuple) else np.asarray(t, dtype=float)
-    prod = np.einsum("aij,bjk->abik", mats, mats)
-    comm = prod - np.transpose(prod, (1, 0, 2, 3))
-    grad = 4.0 * (np.einsum("gbij,bjk->gik", comm, mats)
-                  - np.einsum("bij,gbjk->gik", mats, comm))
-    return _sym_traceless(grad)
+    mats = _stack(t)
+    q, w = _products(mats) if parts is None else parts
+    return 8.0 * _sym_traceless(mats @ q[..., None, :, :] - w)
 
 
-def riemannian_gradient(t):
-    """Tangential component of the gradient on the unit sphere."""
-    mats = t.mats if isinstance(t, MatrixTuple) else np.asarray(t, dtype=float)
-    grad = gradient(mats)
-    radial = np.sum(grad * mats)
+def riemannian_gradient(t, parts=None):
+    """Tangential component of the gradient on the unit sphere, per tuple."""
+    mats = _stack(t)
+    grad = gradient(mats, parts)
+    radial = np.sum(grad * mats, axis=(-3, -2, -1), keepdims=True)
     return grad - radial * mats
 
 
 def ascend(config: SearchConfig, start):
-    """Projected gradient ascent with backtracking from one starting tuple.
+    """Projected gradient ascent with backtracking from one start or a stack.
 
-    Iterates stay on the constraint sphere via renormalization; the
-    objective never decreases between accepted iterates.  Returns
-    (value, tuple as (m, n, n) array, RestartOutcome).
+    `start` is one tuple (m, n, n) or R independent starts (R, m, n, n).
+    Every restart runs the same algorithm: from `step_init`, shrink the
+    step by `step_shrink` until the renormalized candidate beats the
+    current value; stop at `grad_tol`, when the step falls to MIN_STEP,
+    or after `max_iters` iterations.  Iterates stay on the sphere and the
+    objective never decreases between accepted iterates.
+
+    The restarts advance together: each pass evaluates one candidate per
+    live restart in one batched kernel call, and a restart whose candidate
+    was accepted starts its next iteration, from the kept (Q, W) of the
+    candidate, in the next pass.  A backtracking restart therefore never
+    holds up the others.
+
+    Returns (values, tuples, outcomes): for one start a float, an
+    (m, n, n) array and a RestartOutcome; for a stack an (R,) array, an
+    (R, m, n, n) array and a list of R outcomes.
     """
     x = normalize(start)
-    value = objective(x)
-    converged = False
-    iters = 0
-    for iters in range(1, config.max_iters + 1):
-        rgrad = riemannian_gradient(x)
-        gnorm = np.sqrt(np.sum(rgrad * rgrad))
-        if gnorm <= config.grad_tol:
-            converged = True
+    single = x.ndim == 3
+    if single:
+        x = x[None]
+    q, w = _products(x)
+    value = objective(x, (q, w))
+    r = len(x)
+    rgrad, step = np.empty_like(x), np.empty(r)
+    iters = np.zeros(r, dtype=int)
+    stop = np.full(r, "", dtype="<U11")  # a STOP_REASONS entry once stopped
+    fresh = np.ones(r, dtype=bool)  # iterate moved: start a new iteration
+    while True:
+        f = np.flatnonzero(fresh)
+        if f.size:
+            g = riemannian_gradient(x[f], (q[f], w[f]))
+            iters[f] += 1
+            rgrad[f], step[f], fresh[f] = g, config.step_init, False
+            gnorm = np.sqrt(np.sum(g * g, axis=(1, 2, 3)))
+            stop[f[gnorm <= config.grad_tol]] = "grad_tol"
+        stop[(stop == "") & (step <= MIN_STEP)] = "line_search"
+        live = np.flatnonzero(stop == "")
+        if not live.size:
             break
-        step = config.step_init
-        accepted = False
-        while step > 1e-18:
-            cand = normalize(x + step * rgrad)
-            cand_value = objective(cand)
-            if cand_value > value:
-                x, value = cand, cand_value
-                accepted = True
-                break
-            step *= config.step_shrink
-        if not accepted:
-            converged = True  # no ascent direction at line-search resolution
-            break
-    return value, x, RestartOutcome(value=value, iterations=iters,
-                                    converged=converged)
+        cand = normalize(x[live] + step[live, None, None, None] * rgrad[live])
+        cand_q, cand_w = _products(cand)
+        cand_value = objective(cand, (cand_q, cand_w))
+        up = cand_value > value[live]
+        acc = live[up]
+        x[acc], value[acc], q[acc], w[acc] = cand[up], cand_value[up], cand_q[up], cand_w[up]
+        out_of_iters = iters[acc] >= config.max_iters
+        stop[acc[out_of_iters]] = "max_iters"
+        fresh[acc[~out_of_iters]] = True
+        step[live[~up]] *= config.step_shrink
+    outcomes = [RestartOutcome(value=float(v), iterations=int(k), stop_reason=str(s))
+                for v, k, s in zip(value, iters, stop)]
+    if single:
+        return float(value[0]), x[0], outcomes[0]
+    return value, x, outcomes
 
 
 def _restart_start(config: SearchConfig, index: int):
@@ -183,18 +243,19 @@ def _canonicalize(mats):
 def multistart(config: SearchConfig) -> SearchReport:
     """Run seeded restarts of the ascent and report the best configuration."""
     t0 = time.perf_counter()
-    outcomes = []
-    best_value = -np.inf
-    best_mats = None
-    for k in range(config.restarts):
-        start = _restart_start(config, k)
-        if np.sum(start * start) <= 0:
-            continue
-        value, x, outcome = ascend(config, start)
-        outcomes.append(outcome)
-        # ties within 1e-12 keep the earliest restart for determinism
-        if value > best_value + 1e-12:
-            best_value, best_mats = value, x
+    best_value, best_mats, outcomes = -np.inf, None, []
+    # restarts are independent: batches bound the (R, mn, mn) products
+    batch = max(1, BATCH_ENTRIES // (config.m * config.n) ** 2)
+    for first in range(0, config.restarts, batch):
+        starts = [_restart_start(config, k)
+                  for k in range(first, min(first + batch, config.restarts))]
+        values, xs, batch_outcomes = ascend(config, np.stack(
+            [start for start in starts if np.sum(start * start) > 0]))
+        outcomes += batch_outcomes
+        for value, x in zip(values, xs):
+            # ties within 1e-12 keep the earliest restart for determinism
+            if value > best_value + 1e-12:
+                best_value, best_mats = value, x
     best_tuple = MatrixTuple(_canonicalize(best_mats))
     return SearchReport(
         best_value=float(best_value),
@@ -208,7 +269,7 @@ def multistart(config: SearchConfig) -> SearchReport:
 
 def dominant_pair(t, cutoff=1e-6):
     """The two largest-norm matrices of a tuple, discarding near-zero ones."""
-    mats = t.mats if isinstance(t, MatrixTuple) else np.asarray(t, dtype=float)
+    mats = _stack(t)
     norms = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
     keep = np.argsort(norms)[::-1]
     keep = [i for i in keep if norms[i] >= cutoff]

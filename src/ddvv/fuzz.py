@@ -48,6 +48,10 @@ class FuzzSummary:
 
 def run_fuzz(n, m, samples, seed, tol=1e-9, rel_tol=1e-10):
     """Run the full property suite over seeded random configurations."""
+    if n < 2 or m < 1:
+        raise ValueError("need n >= 2 and m >= 1")
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), n, m]))
     summary = FuzzSummary(samples=samples)
     proved_regime = m <= 3 or n <= 3

@@ -15,7 +15,6 @@ import numpy as np
 # between the two we warn; above the error tolerance the data is rejected.
 SYMMETRIZE_WARN_TOL = 1e-9
 SYMMETRIZE_ERR_TOL = 1e-6
-ORTHO_TOL = 1e-12
 
 
 class AsymmetricMatrixError(ValueError):
@@ -70,10 +69,18 @@ def frobenius_norm_sq(a):
 
 
 def traceless_project(a):
-    """a minus (tr a / n) times the identity."""
+    """a minus (tr a / n) times the identity, for a matrix or a stack (..., n, n).
+
+    The first subtraction leaves a trace of rounding relative to |a|,
+    which exceeds the result's own size when a is close to a multiple of
+    the identity; a second pass brings it down to rounding relative to
+    the result.
+    """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    return a - (np.trace(a) / n) * np.eye(n)
+    eye = np.eye(a.shape[-1])
+    for _ in range(2):
+        a = a - (np.trace(a, axis1=-2, axis2=-1) / len(eye))[..., None, None] * eye
+    return a
 
 
 def conjugate(a, o):
@@ -88,14 +95,6 @@ def orthogonality_defect(o):
     """Max-entry norm of o^T o - I."""
     o = np.asarray(o, dtype=float)
     return float(np.max(np.abs(o.T @ o - np.eye(o.shape[0]))))
-
-
-def require_orthogonal(o, tol=ORTHO_TOL):
-    o = np.asarray(o, dtype=float)
-    defect = orthogonality_defect(o)
-    if defect > tol:
-        raise ValueError(f"matrix is not orthogonal: defect {defect:.3e}")
-    return o
 
 
 def random_orthogonal(n, seed):

@@ -82,6 +82,17 @@ def test_check_malformed_json(tmp_path):
     assert cli.main(["check", "--input", str(p)]) == 1
 
 
+def test_check_large_umbilic_point(tmp_path):
+    # removing the mean curvature leaves a trace residue of rounding
+    # relative to |A_a|, far above the size of the traceless parts
+    ops = [k * np.eye(6) for k in (1093.59, 1004.00, 368.60, -234.98, 1582.85)]
+    doc = {"n": 6, "m": 5, "ambient_c": 0.0,
+           "shape_operators": [op.tolist() for op in ops]}
+    p = tmp_path / "umbilic.json"
+    write_doc(p, doc)
+    assert cli.main(["check", "--input", str(p)]) == 0
+
+
 def test_check_csv_export(tmp_path):
     p = tmp_path / "cdk.json"
     write_doc(p, cdk_doc())
@@ -105,6 +116,12 @@ def test_search_deterministic_output(tmp_path):
 
 def test_search_invalid_dims():
     assert cli.main(["search", "--n", "1", "--m", "2"]) == 1
+
+
+@pytest.mark.parametrize("dims", [["--n", "1", "--m", "2"], ["--n", "3", "--m", "0"]])
+def test_fuzz_invalid_dims(dims, capsys):
+    assert cli.main(["fuzz", *dims, "--samples", "5"]) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -125,3 +125,84 @@ def test_search_config_validation():
         ex.SearchConfig(n=2, m=2, restarts=0)
     with pytest.raises(ValueError):
         ex.SearchConfig(n=2, m=2, step_shrink=1.5)
+
+
+def test_stop_reasons():
+    config = ex.SearchConfig(n=2, m=2, seed=0)
+    _, _, outcome = ex.ascend(config, cdk_tuple())
+    assert (outcome.stop_reason, outcome.iterations, outcome.converged) == ("grad_tol", 1, True)
+    start = random_tuple(3, 3, 8)
+    _, _, outcome = ex.ascend(ex.SearchConfig(n=3, m=3, max_iters=1), start)
+    assert (outcome.stop_reason, outcome.iterations, outcome.converged) == ("max_iters", 1, False)
+    _, _, outcome = ex.ascend(ex.SearchConfig(n=3, m=3), start)
+    assert outcome.stop_reason == "line_search" and outcome.converged
+    assert 1 < outcome.iterations < 5000
+
+
+def test_report_lists_stop_reasons():
+    report = ex.multistart(ex.SearchConfig(n=3, m=2, restarts=4, seed=1))
+    per_restart = report.as_dict()["per_restart"]
+    assert len(per_restart) == 4
+    for entry in per_restart:
+        assert entry["stop_reason"] in ex.STOP_REASONS
+        assert entry["converged"] == (entry["stop_reason"] != "max_iters")
+
+
+def test_multistart_restarts_match_single_ascents():
+    config = ex.SearchConfig(n=4, m=3, restarts=8, seed=17)
+    report = ex.multistart(config)
+    for k, outcome in enumerate(report.per_restart):
+        value, _, _ = ex.ascend(config, ex._restart_start(config, k))
+        assert outcome.value == pytest.approx(value, abs=1e-12)
+
+
+def test_multistart_batches_give_the_same_report(monkeypatch):
+    config = ex.SearchConfig(n=3, m=2, restarts=7, seed=12)
+    whole = ex.multistart(config)
+    monkeypatch.setattr(ex, "BATCH_ENTRIES", 3 * (2 * 3) ** 2)  # batches of 3, 3 and 1
+    batched = ex.multistart(config)
+    assert len(batched.per_restart) == 7
+    for a, b in zip(whole.per_restart, batched.per_restart):
+        assert a.value == pytest.approx(b.value, abs=1e-12)
+    assert batched.best_value == pytest.approx(whole.best_value, abs=1e-12)
+
+
+def test_multistart_ties_go_to_earliest_restart(monkeypatch):
+    config = ex.SearchConfig(n=3, m=2, restarts=4, seed=0)
+    tuples = np.stack([ex.normalize(random_tuple(2, 3, 50 + k)) for k in range(4)])
+    values = np.array([0.5, 0.9, 0.9 + 5e-13, 0.9 - 5e-13])
+    outcomes = [ex.RestartOutcome(value=float(v), iterations=1, stop_reason="grad_tol")
+                for v in values]
+    monkeypatch.setattr(ex, "ascend", lambda config, starts: (values, tuples, outcomes))
+    report = ex.multistart(config)
+    assert report.best_value == 0.9
+    np.testing.assert_array_equal(report.best_tuple.mats, ex._canonicalize(tuples[1]))
+
+
+def test_multistart_skips_zero_start(monkeypatch):
+    config = ex.SearchConfig(n=3, m=2, restarts=3, seed=4)
+    original = ex._restart_start
+    monkeypatch.setattr(ex, "_restart_start", lambda config, k: (
+        np.zeros((config.m, config.n, config.n)) if k == 1 else original(config, k)))
+    report = ex.multistart(config)
+    assert len(report.per_restart) == 2
+    for outcome, k in zip(report.per_restart, (0, 2)):
+        value, _, _ = ex.ascend(config, original(config, k))
+        assert outcome.value == pytest.approx(value, abs=1e-12)
+
+
+def test_kernels_on_a_stack_match_per_tuple_calls():
+    stack = np.stack([random_tuple(3, 4, 60 + k) for k in range(5)])
+    values = ex.objective(stack)
+    grads = ex.gradient(stack)
+    rgrads = ex.riemannian_gradient(stack)
+    normed = ex.normalize(stack)
+    assert values.shape == (5,) and grads.shape == stack.shape
+    for k, t in enumerate(stack):
+        assert values[k] == pytest.approx(ex.objective(t), rel=1e-14)
+        np.testing.assert_allclose(grads[k], ex.gradient(t), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(rgrads[k], ex.riemannian_gradient(t), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(normed[k], ex.normalize(t), rtol=0, atol=1e-15)
+    stack[2] = 0.0
+    with pytest.raises(ValueError):
+        ex.normalize(stack)
