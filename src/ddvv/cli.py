@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, curvature, extremizer, inequalities, lagrangian
 from .curvature import ShapeOperatorSet
 from .fuzz import run_fuzz
-from .matrix_core import AsymmetricMatrixError
+from .matrix_core import AsymmetricMatrixError, commutators_and_gram
 
 
 def read_input_document(path):
@@ -44,7 +44,7 @@ def shape_set_to_document(s, label=None):
         "n": s.n,
         "m": s.m,
         "ambient_c": s.ambient_c,
-        "shape_operators": [op.tolist() for op in s.ops],
+        "shape_operators": s.ops.tolist(),
     }
     if label is not None:
         doc["label"] = label
@@ -103,14 +103,11 @@ def cmd_check(args):
     write_json(report, args.output)
     if args.csv:
         write_csv(checks, args.csv)
-    # the conjectured bound is theorem-status only in its proved regimes
-    proved_regime = s.m <= 3 or s.n <= 3
-    hard = [c for c in checks if c.label != "ddvv" or proved_regime]
     for c in checks:
         flag = "equality" if c.equality else ("ok" if c.holds else "FAIL")
         print(f"{c.label:12s} lhs={c.lhs:+.12e} rhs={c.rhs:+.12e} [{flag}]")
     print(f"slack = {inv.slack:.12e}")
-    return 0 if all(c.holds for c in hard) else 2
+    return 0 if all(c.holds for c in checks) else 2
 
 
 def cmd_search(args):
@@ -143,11 +140,9 @@ def _family_report(args):
         p = lagrangian.HUmbilicalParams(n=args.n, lam=args.lam, mu=args.mu)
         s = lagrangian.h_umbilical(p)
         lhs, rhs, quartic = lagrangian.h_umbilical_closed(p)
-        mats = curvature.traceless_parts(s).mats
-        oracle_lhs = sum(
-            2.0 * np.sum(np.square(mats[a] @ mats[b] - mats[b] @ mats[a]))
-            for a in range(s.m) for b in range(a + 1, s.m))
-        oracle_rhs = float(np.sum(mats * mats)) ** 2
+        comm, gram = commutators_and_gram(curvature.traceless_parts(s).mats)
+        oracle_lhs = float(np.vdot(comm, comm))
+        oracle_rhs = float(np.trace(gram)) ** 2
         closed = {"lhs": lhs, "rhs": rhs, "quartic": quartic,
                   "oracle_lhs": oracle_lhs, "oracle_rhs": oracle_rhs}
         inv = curvature.invariants(s)
@@ -228,7 +223,6 @@ def cmd_fuzz(args):
         return 1
     print(f"samples: {summary.samples}")
     print(f"hard failures: {summary.hard_failures}")
-    print(f"conjecture violation candidates: {summary.conjecture_violations}")
     if summary.failure_labels:
         print("failing properties: " + ", ".join(summary.failure_labels))
     return 0 if summary.hard_failures == 0 else 2

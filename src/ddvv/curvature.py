@@ -1,8 +1,9 @@
 """Pointwise curvature invariants from shape operators in a real space form.
 
-rho and rho_perp are each computed by two independent routes (the Gauss /
-Ricci component sums and the traceless-part identities); their agreement is
-a property the test suite checks, never an assumption made here.
+rho and rho_perp are each computed by two independent routes: the Gauss /
+Ricci component sums, kept as per-operator oracles, and the traceless-part
+identities on the stack kernels of `matrix_core`.  Their agreement is a
+property the test suite checks, never an assumption made here.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_symmetric, commutator, frobenius_norm_sq, traceless_project
+from .matrix_core import as_symmetric, commutator, commutators_and_gram, traceless_project
 
 TRACELESS_TOL = 1e-12
 
@@ -34,10 +35,13 @@ class ShapeOperatorSet:
             raise ValueError("need at least one shape operator")
         if ops.shape[1] < 2:
             raise ValueError("tangent dimension must be >= 2")
-        ops = np.stack([as_symmetric(op) for op in ops])
+        ambient_c = float(self.ambient_c)
+        if not np.isfinite(ambient_c):
+            raise ValueError(f"ambient_c must be finite, got {ambient_c}")
+        ops = as_symmetric(ops)
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "ambient_c", float(self.ambient_c))
+        object.__setattr__(self, "ambient_c", ambient_c)
 
     @property
     def m(self):
@@ -48,6 +52,12 @@ class ShapeOperatorSet:
         return self.ops.shape[1]
 
 
+def _relative_traces(mats):
+    """|tr B_a| / max(1, |B_a|) for each matrix of an (m, n, n) stack."""
+    norms = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
+    return np.abs(np.trace(mats, axis1=1, axis2=2)) / np.maximum(1.0, norms)
+
+
 @dataclass(frozen=True)
 class MatrixTuple:
     """Ordered tuple of m traceless symmetric n x n matrices, shape (m, n, n)."""
@@ -56,13 +66,12 @@ class MatrixTuple:
 
     def __post_init__(self):
         mats = np.asarray(self.mats, dtype=float)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        if mats.ndim != 3:
             raise ValueError(f"expected shape (m, n, n), got {mats.shape}")
-        mats = np.stack([as_symmetric(b) for b in mats])
-        for b in mats:
-            scale = max(1.0, np.sqrt(frobenius_norm_sq(b)))
-            if abs(np.trace(b)) > TRACELESS_TOL * scale:
-                raise ValueError(f"matrix has trace {np.trace(b):.3e}, not traceless")
+        mats = as_symmetric(mats)
+        excess = _relative_traces(mats)
+        if np.any(excess > TRACELESS_TOL):
+            raise ValueError(f"matrix has relative trace {np.max(excess):.3e}, not traceless")
         mats.setflags(write=False)
         object.__setattr__(self, "mats", mats)
 
@@ -122,9 +131,7 @@ def rho_direct(s: ShapeOperatorSet) -> float:
 
 def rho_identity(s: ShapeOperatorSet) -> float:
     """Normalized scalar curvature via c + |H|^2 - |b|^2 / (n(n-1))."""
-    n = s.n
-    b_sq = traceless_parts(s).norm_sq_total()
-    return s.ambient_c + mean_curvature_sq(s) - b_sq / (n * (n - 1))
+    return invariants(s).rho
 
 
 def rho_perp_direct(s: ShapeOperatorSet) -> float:
@@ -148,21 +155,23 @@ def rho_perp_direct(s: ShapeOperatorSet) -> float:
 
 def rho_perp_commutator(s: ShapeOperatorSet) -> float:
     """Normalized normal scalar curvature from traceless-part commutator norms."""
-    n = s.n
-    mats = traceless_parts(s).mats
-    total = 0.0
-    for a in range(s.m):
-        for b in range(s.m):
-            total += frobenius_norm_sq(commutator(mats[a], mats[b]))
-    return np.sqrt(total) / (n * (n - 1))
+    return invariants(s).rho_perp
 
 
 def invariants(s: ShapeOperatorSet) -> CurvatureInvariants:
-    """All pointwise invariants; slack >= 0 iff the conjectured bound holds here."""
-    rho = rho_identity(s)
-    rho_perp = rho_perp_commutator(s)
+    """All pointwise invariants; slack >= 0 is the DDVV bound at this point.
+
+    rho = c + |H|^2 - |b|^2 / (n(n-1)) and
+    rho_perp = sqrt(sum_{a, b} ||[B_a, B_b]||^2) / (n(n-1)), both from the
+    traceless parts B_a.
+    """
+    n = s.n
+    parts = traceless_parts(s)
+    comm, _ = commutators_and_gram(parts.mats)
     h_sq = mean_curvature_sq(s)
-    b_sq = traceless_parts(s).norm_sq_total()
+    b_sq = parts.norm_sq_total()
+    rho = s.ambient_c + h_sq - b_sq / (n * (n - 1))
+    rho_perp = float(np.sqrt(np.vdot(comm, comm))) / (n * (n - 1))
     slack = h_sq - rho_perp + s.ambient_c - rho
     return CurvatureInvariants(
         rho=rho,

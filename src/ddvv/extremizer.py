@@ -2,7 +2,8 @@
 
 Maximizes F(B_1, ..., B_m) = sum over ordered pairs of ||[B_a, B_b]||^2 on
 the unit sphere of traceless symmetric tuples (sum ||B_a||^2 = 1).  The
-known ceiling in proved regimes is 1, attained on rank-2 rotated pairs.
+ceiling is 1 for all (n, m) (Ge & Tang, 2008; Lu, 2011), attained on
+rank-2 rotated pairs.
 The restarts of a search advance together as one (R, m, n, n) stack.
 """
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .curvature import MatrixTuple
 from .inequalities import gram_diagonalizing_mix
+from .matrix_core import traceless_project
 
 VIOLATION_THRESHOLD = 1.0 + 1e-6
 STOP_REASONS = ("grad_tol", "line_search", "max_iters")
@@ -74,7 +76,7 @@ class SearchReport:
     def as_dict(self):
         return {
             "best_value": self.best_value,
-            "best_tuple": [b.tolist() for b in self.best_tuple.mats],
+            "best_tuple": self.best_tuple.mats.tolist(),
             "per_restart": [
                 {"value": r.value, "iterations": r.iterations,
                  "converged": r.converged, "stop_reason": r.stop_reason}
@@ -88,14 +90,6 @@ class SearchReport:
 
 def _stack(t):
     return t.mats if isinstance(t, MatrixTuple) else np.asarray(t, dtype=float)
-
-
-def _sym_traceless(stack):
-    out = stack + np.swapaxes(stack, -1, -2)
-    out *= 0.5
-    diag = np.einsum("...ii->...i", out)  # a writable view
-    diag -= np.sum(diag, axis=-1, keepdims=True) / out.shape[-1]
-    return out
 
 
 def _products(mats):
@@ -116,11 +110,14 @@ def _products(mats):
 
 
 def objective(t, parts=None):
-    """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2.
+    """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2, for the ascent only.
 
     Evaluated as 2 (||Q||^2 - sum_g <B_g, W_g>) from `_products`; `parts`
     is that (Q, W) of `t` when already computed.  A (..., m, n, n) stack
-    gives an array of values, one tuple a float.
+    gives an array of values, one tuple a float.  The difference cancels:
+    its absolute error is about rounding times ||B||^4, so near a commuting
+    tuple the value can come out slightly negative.  The invariants and the
+    checks use the commutator stack of `matrix_core.commutators_and_gram`.
     """
     mats = _stack(t)
     q, w = _products(mats) if parts is None else parts
@@ -130,7 +127,7 @@ def objective(t, parts=None):
 
 def normalize(t):
     """Traceless-project and scale each tuple so its total squared norm is 1."""
-    mats = _sym_traceless(_stack(t))
+    mats = traceless_project(_stack(t))
     total = np.sum(mats * mats, axis=(-3, -2, -1), keepdims=True)
     if np.any(total <= 0):
         raise ValueError("cannot normalize a zero tuple")
@@ -147,7 +144,7 @@ def gradient(t, parts=None):
     """
     mats = _stack(t)
     q, w = _products(mats) if parts is None else parts
-    return 8.0 * _sym_traceless(mats @ q[..., None, :, :] - w)
+    return 8.0 * traceless_project(mats @ q[..., None, :, :] - w)
 
 
 def riemannian_gradient(t, parts=None):
@@ -224,7 +221,7 @@ def _restart_start(config: SearchConfig, index: int):
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & (2**64 - 1),
                                                         index]))
     g = rng.standard_normal((config.m, config.n, config.n))
-    return _sym_traceless(g)
+    return traceless_project(g)
 
 
 def _canonicalize(mats):
@@ -237,7 +234,7 @@ def _canonicalize(mats):
     """
     mixed = gram_diagonalizing_mix(mats)
     norms = np.sum(mixed * mixed, axis=(1, 2))
-    return _sym_traceless(mixed[np.argsort(norms)[::-1]])
+    return traceless_project(mixed[np.argsort(norms)[::-1]])
 
 
 def multistart(config: SearchConfig) -> SearchReport:
@@ -272,7 +269,7 @@ def dominant_pair(t, cutoff=1e-6):
     mats = _stack(t)
     norms = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
     keep = np.argsort(norms)[::-1]
-    keep = [i for i in keep if norms[i] >= cutoff]
+    keep = keep[norms[keep] >= cutoff]
     if len(keep) < 2:
         raise ValueError("tuple has fewer than two significant matrices")
     return mats[keep[0]], mats[keep[1]]

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (
-    MatrixTuple,
-    ShapeOperatorSet,
-    invariants,
-    traceless_parts,
-)
-from .matrix_core import as_symmetric, commutator, frobenius_inner, frobenius_norm_sq
+from .curvature import MatrixTuple, ShapeOperatorSet, _relative_traces, invariants
+from .matrix_core import as_symmetric, commutators_and_gram, frobenius_inner, frobenius_norm_sq
 
 DEFAULT_TOL = 1e-9
 
@@ -58,9 +53,9 @@ def _as_stack(mats):
     arr = np.asarray(mats, dtype=float)
     if arr.ndim == 2:
         arr = arr[None, :, :]
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+    if arr.ndim != 3:
         raise ValueError(f"expected (m, n, n) matrices, got shape {arr.shape}")
-    return np.stack([as_symmetric(b) for b in arr])
+    return as_symmetric(arr)
 
 
 def _normalize_stack(mats):
@@ -70,16 +65,6 @@ def _normalize_stack(mats):
     return mats
 
 
-def _commutator_sum_sq(mats):
-    """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2."""
-    total = 0.0
-    m = mats.shape[0]
-    for a in range(m):
-        for b in range(a + 1, m):
-            total += 2.0 * frobenius_norm_sq(commutator(mats[a], mats[b]))
-    return total
-
-
 def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     """Commutator-sum bound for traceless symmetric tuples.
 
@@ -87,22 +72,17 @@ def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     Rejects tuples that are not traceless within `tol`.
     """
     mats = _as_stack(t)
-    for b in mats:
-        scale = max(1.0, np.sqrt(frobenius_norm_sq(b)))
-        if abs(np.trace(b)) > tol * scale:
-            raise ValueError("ddvv_check requires traceless matrices")
-    mats = _normalize_stack(mats)
-    lhs = _commutator_sum_sq(mats)
-    rhs = float(np.sum(mats * mats)) ** 2
-    return _result(lhs, rhs, tol, "ddvv")
+    if np.any(_relative_traces(mats) > tol):
+        raise ValueError("ddvv_check requires traceless matrices")
+    comm, gram = commutators_and_gram(_normalize_stack(mats))
+    return _result(np.vdot(comm, comm), np.trace(gram) ** 2, tol, "ddvv")
 
 
 def cdk_check(b1, b2, tol=DEFAULT_TOL) -> CheckResult:
     """Pairwise commutator bound ||[B1, B2]||^2 <= 2 ||B1||^2 ||B2||^2."""
-    mats = _normalize_stack(_as_stack([b1, b2]))
-    lhs = frobenius_norm_sq(commutator(mats[0], mats[1]))
-    rhs = 2.0 * frobenius_norm_sq(mats[0]) * frobenius_norm_sq(mats[1])
-    return _result(lhs, rhs, tol, "cdk")
+    comm, gram = commutators_and_gram(_normalize_stack(_as_stack([b1, b2])))
+    lhs = np.vdot(comm[0, 1], comm[0, 1])
+    return _result(lhs, 2.0 * gram[0, 0] * gram[1, 1], tol, "cdk")
 
 
 def _rank(b, tol):
@@ -143,15 +123,9 @@ def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
     Both double sums run over all ordered pairs, including the diagonal
     terms <B_a, B_a>^2 = ||B_a||^4.  Trace-free input is not required.
     """
-    mats = _normalize_stack(_as_stack(t))
-    m = mats.shape[0]
-    lhs = _commutator_sum_sq(mats)
-    for a in range(m):
-        lhs += frobenius_inner(mats[a], mats[a]) ** 2
-        for b in range(a + 1, m):
-            lhs += 2.0 * frobenius_inner(mats[a], mats[b]) ** 2
-    rhs = 1.5 * float(np.sum(mats * mats)) ** 2
-    return _result(lhs, rhs, tol, "li-li")
+    comm, gram = commutators_and_gram(_normalize_stack(_as_stack(t)))
+    lhs = np.vdot(comm, comm) + np.vdot(gram, gram)
+    return _result(lhs, 1.5 * np.trace(gram) ** 2, tol, "li-li")
 
 
 def weak_constant_m(m: int) -> float:
@@ -206,10 +180,6 @@ def gram_diagonalizing_mix(t):
     B'_b = sum_a O_ab B_a.
     """
     mats = _as_stack(t)
-    m = mats.shape[0]
-    gram = np.empty((m, m))
-    for a in range(m):
-        for b in range(m):
-            gram[a, b] = frobenius_inner(mats[a], mats[b])
-    _, vecs = np.linalg.eigh((gram + gram.T) / 2.0)
+    _, gram = commutators_and_gram(mats)
+    _, vecs = np.linalg.eigh(gram)
     return np.einsum("ab,aij->bij", vecs, mats)

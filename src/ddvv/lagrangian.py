@@ -17,9 +17,10 @@ from .curvature import (
     CurvatureInvariants,
     ShapeOperatorSet,
     mean_curvature_sq,
+    rho_direct,
     traceless_parts,
 )
-from .matrix_core import commutator
+from .matrix_core import commutators_and_gram
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,8 @@ def h_umbilical(p: HUmbilicalParams) -> ShapeOperatorSet:
     n = p.n
     ops = np.zeros((n, n, n))
     ops[0] = np.diag([p.lam] + [p.mu] * (n - 1))
-    for j in range(1, n):
-        ops[j, 0, j] = p.mu
-        ops[j, j, 0] = p.mu
+    j = np.arange(1, n)
+    ops[j, 0, j] = ops[j, j, 0] = p.mu
     return ShapeOperatorSet(ops, ambient_c=0.0)
 
 
@@ -140,8 +140,8 @@ def csf_invariants(s: ShapeOperatorSet, c: float) -> CurvatureInvariants:
     """Invariants of a Lagrangian set in constant holomorphic curvature 4c.
 
     The Gauss sum keeps the real-space-form shape with constant c; the
-    Ricci components pick up the ambient term
-    c (delta_{j a} delta_{i b} - delta_{i a} delta_{j b}).
+    Ricci components pick up the ambient term, so the normal curvature
+    tensor of the pair (a, b) is [A_a, A_b] + c (e_a e_b^T - e_b e_a^T).
     Reduces exactly to the flat computation at c = 0.
     """
     if s.m != s.n:
@@ -149,25 +149,16 @@ def csf_invariants(s: ShapeOperatorSet, c: float) -> CurvatureInvariants:
     if not lagrangian_symmetry_check(s):
         raise ValueError("operators fail the Lagrangian symmetry property")
     n = s.n
-    iu, ju = np.triu_indices(n, k=1)
-    gauss = 0.0
-    for op in s.ops:
-        diag = np.diag(op)
-        gauss += float(np.sum(diag[iu] * diag[ju]) - np.sum(op[iu, ju] ** 2))
-    rho = c + 2.0 * gauss / (n * (n - 1))
-
-    total = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            comm = commutator(s.ops[a], s.ops[b])
-            for i, j in zip(iu, ju):
-                ambient = c * (float(j == a) * float(i == b)
-                               - float(i == a) * float(j == b))
-                total += (ambient + comm[j, i]) ** 2
-    rho_perp = 2.0 * np.sqrt(total) / (n * (n - 1))
+    rho = rho_direct(ShapeOperatorSet(s.ops, ambient_c=c))
+    parts = traceless_parts(s)
+    comm, _ = commutators_and_gram(parts.mats)
+    eye = np.eye(n)
+    outer = eye[:, None, :, None] * eye[None, :, None, :]  # e_a e_b^T at [a, b]
+    ricci = comm + c * (outer - outer.transpose(1, 0, 2, 3))
+    rho_perp = float(np.sqrt(np.vdot(ricci, ricci))) / (n * (n - 1))
 
     h_sq = mean_curvature_sq(s)
-    b_sq = traceless_parts(s).norm_sq_total()
+    b_sq = parts.norm_sq_total()
     slack = h_sq - rho_perp + c - rho
     return CurvatureInvariants(rho=rho, rho_perp=rho_perp, h_sq=h_sq,
                                b_sq=b_sq, slack=slack, ambient_c=c)

@@ -1,8 +1,13 @@
 """Dense symmetric-matrix primitives.
 
-Commutators, Frobenius inner products, traceless projection, orthogonal
-conjugation and seeded random generation.  All matrices are plain float64
-numpy arrays; dimensions are dynamic (working range n, m <= 12 or so).
+The pointwise algebra runs on whole (m, n, n) stacks: `as_symmetric`
+validates a stack, `traceless_project` is the symmetric-traceless
+projection, and `commutators_and_gram` gives every commutator [B_a, B_b]
+and the Gram matrix <B_a, B_b> from one product.  The per-matrix
+`commutator`, `frobenius_inner`, `frobenius_norm_sq` and `conjugate` are
+the references the tests compare against.  Seeded random generation
+completes the module.  All matrices are plain float64 numpy arrays;
+dimensions are dynamic (working range n, m <= 12 or so).
 """
 
 from __future__ import annotations
@@ -22,24 +27,28 @@ class AsymmetricMatrixError(ValueError):
 
 
 def as_symmetric(a, warn_tol=SYMMETRIZE_WARN_TOL, err_tol=SYMMETRIZE_ERR_TOL):
-    """Return the symmetrized copy (A + A^T)/2 of a square matrix.
+    """Return the symmetrized copy (A + A^T)/2 of a square matrix or a stack (..., n, n).
 
-    Raises AsymmetricMatrixError if the asymmetry exceeds `err_tol` in
-    max-entry norm, warns if it exceeds `warn_tol`.
+    Raises ValueError on an empty input or a NaN or infinite entry, and
+    AsymmetricMatrixError if the asymmetry of some matrix exceeds
+    `err_tol` in max-entry norm; warns if it exceeds `warn_tol`.
     """
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("dimension must be >= 1")
-    asym = float(np.max(np.abs(a - a.T)))
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"expected a nonempty input, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("input has NaN or infinite entries")
+    at = np.swapaxes(a, -1, -2)
+    asym = float(np.max(np.abs(a - at)))
     if asym > err_tol:
         raise AsymmetricMatrixError(
             f"matrix asymmetry {asym:.3e} exceeds tolerance {err_tol:.1e}"
         )
     if asym > warn_tol:
         warnings.warn(f"symmetrizing matrix with asymmetry {asym:.3e}")
-    return (a + a.T) / 2.0
+    return (a + at) / 2.0
 
 
 def _check_same_shape(a, b):
@@ -69,18 +78,41 @@ def frobenius_norm_sq(a):
 
 
 def traceless_project(a):
-    """a minus (tr a / n) times the identity, for a matrix or a stack (..., n, n).
+    """Symmetric traceless part (A + A^T)/2 - (tr A / n) I of a matrix or a stack (..., n, n).
 
-    The first subtraction leaves a trace of rounding relative to |a|,
-    which exceeds the result's own size when a is close to a multiple of
+    The first trace subtraction leaves a trace of rounding relative to |A|,
+    which exceeds the result's own size when A is close to a multiple of
     the identity; a second pass brings it down to rounding relative to
     the result.
     """
     a = np.asarray(a, dtype=float)
-    eye = np.eye(a.shape[-1])
-    for _ in range(2):
-        a = a - (np.trace(a, axis1=-2, axis2=-1) / len(eye))[..., None, None] * eye
-    return a
+    n = a.shape[-1]
+    out = a + np.swapaxes(a, -1, -2)
+    out *= 0.5
+    diag = np.einsum("...ii->...i", out)  # a writable view
+    # both passes run on a contiguous copy of the diagonal, which is faster
+    # than reducing and updating the strided view twice
+    d = diag - np.einsum("...i->...", diag)[..., None] / n
+    d -= np.einsum("...i->...", d)[..., None] / n
+    diag[...] = d
+    return out
+
+
+def commutators_and_gram(mats):
+    """The commutators [B_a, B_b] as an (m, m, n, n) stack and the m x m Gram
+    matrix <B_a, B_b> of an (m, n, n) stack.
+
+    One GEMM, (mn, n) @ (n, mn), gives every product B_a B_b as block
+    (a, b).  [B_a, B_a] is exactly zero, and so is the commutator of two
+    diagonal matrices, since both of its products sum the same terms.
+    """
+    mats = np.asarray(mats, dtype=float)
+    m, n = mats.shape[0], mats.shape[-1]
+    rows = mats.reshape(m * n, n)  # [B_1; ...; B_m]
+    cols = mats.transpose(1, 0, 2).reshape(n, m * n)  # [B_1 | ... | B_m]
+    prod = (rows @ cols).reshape(m, n, m, n).transpose(0, 2, 1, 3)
+    flat = mats.reshape(m, n * n)
+    return prod - prod.transpose(1, 0, 2, 3), flat @ flat.T
 
 
 def conjugate(a, o):
@@ -119,5 +151,4 @@ def random_traceless_sym(n, seed):
     if n < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n))
-    return traceless_project((g + g.T) / 2.0)
+    return traceless_project(rng.standard_normal((n, n)))

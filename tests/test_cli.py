@@ -76,6 +76,21 @@ def test_check_asymmetry_error(tmp_path):
     assert cli.main(["check", "--input", str(p)]) == 1
 
 
+@pytest.mark.parametrize("field", ["shape_operators", "ambient_c"])
+def test_check_non_finite_input(tmp_path, capsys, field):
+    doc = cdk_doc()
+    if field == "ambient_c":
+        doc["ambient_c"] = float("inf")
+    else:
+        doc["shape_operators"][0][0][1] = doc["shape_operators"][0][1][0] = float("nan")
+    p = tmp_path / "non-finite.json"
+    write_doc(p, doc)
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
+
+
 def test_check_malformed_json(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{not json", encoding="utf-8")

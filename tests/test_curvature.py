@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ddvv import curvature as cv
+from ddvv import inequalities as ineq
 from ddvv.curvature import ShapeOperatorSet
 from ddvv.fuzz import random_shape_set
 from ddvv.matrix_core import conjugate, random_orthogonal
@@ -56,7 +57,8 @@ def test_rho_perp_m1_and_commuting():
     diag = ShapeOperatorSet(np.stack([np.diag([1.0, -2.0, 1.0]),
                                       np.diag([0.5, 0.5, -1.0])]))
     assert cv.rho_perp_direct(diag) == 0.0
-    assert cv.rho_perp_commutator(diag) == pytest.approx(0.0, abs=1e-14)
+    assert cv.rho_perp_commutator(diag) == 0.0
+    assert ineq.ddvv_check(cv.traceless_parts(diag)).lhs == 0.0
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 3), (6, 6), (5, 1)])

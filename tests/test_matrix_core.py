@@ -68,6 +68,56 @@ def test_traceless_project_idempotent_linear_and_traceless():
             atol=1e-13)
 
 
+@pytest.mark.parametrize("m", [1, 6])
+def test_commutators_and_gram_match_per_pair_references(m):
+    rng = np.random.default_rng(40 + m)
+    g = rng.standard_normal((m, 5, 5))
+    mats = (g + np.transpose(g, (0, 2, 1))) / 2
+    comm, gram = mc.commutators_and_gram(mats)
+    assert comm.shape == (m, m, 5, 5) and gram.shape == (m, m)
+    for a in range(m):
+        for b in range(m):
+            np.testing.assert_allclose(comm[a, b], mc.commutator(mats[a], mats[b]),
+                                       rtol=0, atol=1e-13)
+            assert gram[a, b] == pytest.approx(mc.frobenius_inner(mats[a], mats[b]),
+                                               rel=1e-13, abs=1e-13)
+
+
+def test_traceless_project_symmetrizes_a_stack():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((3, 4, 4))
+    p = mc.traceless_project(a)
+    sym = (a + np.transpose(a, (0, 2, 1))) / 2
+    expected = sym - (np.trace(sym, axis1=1, axis2=2) / 4)[:, None, None] * np.eye(4)
+    np.testing.assert_allclose(p, expected, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(p, np.transpose(p, (0, 2, 1)))
+
+
+def test_traceless_project_umbilic_stack_leaves_no_trace():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        stack = rng.uniform(-1e3, 1e3, size=6)[:, None, None] * np.eye(5)
+        p = mc.traceless_project(stack)
+        # the exact result is zero: what is left is rounding of the result
+        assert np.all(np.abs(np.trace(p, axis1=1, axis2=2)) <= 1e-15 * max(1.0, np.max(np.abs(p))))
+        assert np.max(np.abs(p)) <= 1e-12
+
+
+def test_as_symmetric_stack_validation():
+    stack = np.stack([mc.random_traceless_sym(3, seed) for seed in range(3)])
+    np.testing.assert_array_equal(mc.as_symmetric(stack), stack)
+    bad = stack.copy()
+    bad[1, 0, 2] += 1e-3
+    with pytest.raises(mc.AsymmetricMatrixError):
+        mc.as_symmetric(bad)
+    nan = stack.copy()
+    nan[2, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        mc.as_symmetric(nan)
+    with pytest.raises(ValueError):
+        mc.as_symmetric(np.zeros((3, 2, 3)))
+
+
 def test_random_orthogonal_is_orthogonal_and_deterministic():
     for n in (1, 2, 5, 9):
         o = mc.random_orthogonal(n, 123)
