@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__, curvature, extremizer, inequalities, lagrangian
 from .curvature import ShapeOperatorSet
 from .fuzz import run_fuzz
-from .matrix_core import AsymmetricMatrixError, commutators_and_gram
+from .matrix_core import AsymmetricMatrixError
 
 
 def read_input_document(path):
@@ -76,23 +77,22 @@ def _report_skeleton(seed=None):
     }
 
 
+def _print_checks(checks, width):
+    """One line per check; the exit code 0 if all hold, else 2."""
+    for c in checks:
+        flag = "equality" if c.equality else ("ok" if c.holds else "FAIL")
+        print(f"{c.label:{width}s} lhs={c.lhs:+.12e} rhs={c.rhs:+.12e} [{flag}]")
+    return 0 if all(c.holds for c in checks) else 2
+
+
 def cmd_check(args):
     try:
         s, label = read_input_document(args.input)
     except (OSError, ValueError, AsymmetricMatrixError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
-    tol = args.tol
-    inv = curvature.invariants(s)
-    checks = [
-        inequalities.ddvv_check(curvature.traceless_parts(s), tol),
-        inequalities.chen_check(s, tol),
-        *inequalities.weak_checks(s, tol),
-        inequalities.lili_check(s.ops, tol),
-    ]
-    lagr = None
-    if s.m == s.n:
-        lagr = lagrangian.lagrangian_symmetry_check(s, tol)
+    inv, checks = inequalities.point_checks(s, args.tol)
+    lagr = lagrangian.lagrangian_symmetry_check(s, args.tol) if s.m == s.n else None
     report = _report_skeleton()
     report.update({
         "input": shape_set_to_document(s, label),
@@ -103,11 +103,9 @@ def cmd_check(args):
     write_json(report, args.output)
     if args.csv:
         write_csv(checks, args.csv)
-    for c in checks:
-        flag = "equality" if c.equality else ("ok" if c.holds else "FAIL")
-        print(f"{c.label:12s} lhs={c.lhs:+.12e} rhs={c.rhs:+.12e} [{flag}]")
+    code = _print_checks(checks, 12)
     print(f"slack = {inv.slack:.12e}")
-    return 0 if all(c.holds for c in checks) else 2
+    return code
 
 
 def cmd_search(args):
@@ -130,43 +128,58 @@ def cmd_search(args):
     return 0
 
 
-def _family_report(args):
-    """Build (shape set, closed-form records, family check results)."""
-    name = args.family
+def _h_umbilical_forms(p, inv):
+    lhs, rhs, quartic = lagrangian.h_umbilical_closed(p)
+    # the oracles are the commutator sum and |b|^4 of the traceless parts
+    return {"lhs": lhs, "rhs": rhs, "quartic": quartic,
+            "oracle_lhs": (p.n * (p.n - 1) * inv.rho_perp) ** 2, "oracle_rhs": inv.b_sq**2}
+
+
+def _c3_forms(p, inv):
+    three_rho, nine_rp_sq = lagrangian.c3_closed(p)
+    return {"three_rho": three_rho, "nine_rho_perp_sq": nine_rp_sq,
+            "oracle_rho": inv.rho, "oracle_rho_perp": inv.rho_perp}
+
+
+def _c4_forms(p, inv):
+    six_rho, thirtysix = lagrangian.c4_closed(p)
+    return {"six_rho": six_rho, "thirtysix_rho_perp_sq": thirtysix,
+            "oracle_rho": inv.rho, "oracle_rho_perp": inv.rho_perp}
+
+
+# family -> (parameters from args, shape set from the parameters, closed-form
+#            record from the parameters and the invariants, label of its bound)
+FAMILIES = {
+    "h-umbilical": (
+        lambda args: lagrangian.HUmbilicalParams(n=args.n, lam=args.lam, mu=args.mu),
+        lagrangian.h_umbilical, _h_umbilical_forms, "h-umbilical-bound"),
+    "minimal-c3": (
+        lambda args: lagrangian.C3Params(a=args.a, b=args.b, c=args.c, d=args.d),
+        lagrangian.minimal_lagrangian_c3, _c3_forms, "minimal-c3-bound"),
+    "s3-equality": (
+        lambda args: lagrangian.C3Params(a=args.a, b=0.0, c=0.0, d=0.0),
+        lambda p: lagrangian.s3_equality_form(p.a), _c3_forms, "minimal-c3-bound"),
+    "ultraminimal-c4": (
+        lambda args: lagrangian.C4BlockParams(a=args.a, b=args.b, c=args.c, d=args.d),
+        lagrangian.ultraminimal_c4_22, _c4_forms, "ultraminimal-c4-bound"),
+    "eq51": (
+        lambda args: lagrangian.C4BlockParams(a=args.a, b=args.b, c=0.0, d=0.0),
+        lagrangian.ultraminimal_c4_22, _c4_forms, "ultraminimal-c4-bound"),
+}
+
+
+def cmd_family(args):
+    params, shape_set, closed_forms, label = FAMILIES[args.family]
     tol = args.tol
-    checks = []
-    closed = {}
-    if name == "h-umbilical":
-        p = lagrangian.HUmbilicalParams(n=args.n, lam=args.lam, mu=args.mu)
-        s = lagrangian.h_umbilical(p)
-        lhs, rhs, quartic = lagrangian.h_umbilical_closed(p)
-        comm, gram = commutators_and_gram(curvature.traceless_parts(s).mats)
-        oracle_lhs = float(np.vdot(comm, comm))
-        oracle_rhs = float(np.trace(gram)) ** 2
-        closed = {"lhs": lhs, "rhs": rhs, "quartic": quartic,
-                  "oracle_lhs": oracle_lhs, "oracle_rhs": oracle_rhs}
+    try:
+        p = params(args)
+        s = shape_set(p)
         inv = curvature.invariants(s)
-        checks.append(inequalities.CheckResult(
-            lhs=inv.rho, rhs=inv.h_sq - inv.rho_perp,
-            holds=inv.slack >= -tol, equality=abs(inv.slack) <= tol,
-            tol=tol, label="h-umbilical-bound"))
-    elif name in ("minimal-c3", "s3-equality"):
-        if name == "minimal-c3":
-            p = lagrangian.C3Params(a=args.a, b=args.b, c=args.c, d=args.d)
-            s = lagrangian.minimal_lagrangian_c3(p)
-        else:
-            p = lagrangian.C3Params(a=args.a, b=0.0, c=0.0, d=0.0)
-            s = lagrangian.s3_equality_form(args.a)
-        three_rho, nine_rp_sq = lagrangian.c3_closed(p)
-        inv = curvature.invariants(s)
-        closed = {"three_rho": three_rho, "nine_rho_perp_sq": nine_rp_sq,
-                  "oracle_rho": inv.rho, "oracle_rho_perp": inv.rho_perp}
-        checks.append(inequalities.CheckResult(
-            lhs=inv.rho, rhs=-inv.rho_perp,
-            holds=inv.rho <= -inv.rho_perp + tol,
-            equality=abs(inv.rho + inv.rho_perp) <= tol,
-            tol=tol, label="minimal-c3-bound"))
-        if args.csf_c is not None:
+        # rho <= |H|^2 - rho_perp + c, with an absolute tolerance on the slack
+        checks = [inequalities.CheckResult(
+            lhs=inv.rho, rhs=inv.h_sq - inv.rho_perp + inv.ambient_c,
+            holds=inv.slack >= -tol, equality=abs(inv.slack) <= tol, tol=tol, label=label)]
+        if args.csf_c is not None and closed_forms is _c3_forms:  # the C^3 families
             csf = lagrangian.csf_invariants(s, args.csf_c)
             bound = lagrangian.csf_bound_rhs(csf.rho, args.csf_c)
             checks.append(inequalities.CheckResult(
@@ -174,45 +187,18 @@ def _family_report(args):
                 holds=csf.rho_perp**2 <= bound + tol,
                 equality=abs(csf.rho_perp**2 - bound) <= tol * max(1.0, abs(bound)),
                 tol=tol, label="csf-bound"))
-    elif name in ("ultraminimal-c4", "eq51"):
-        if name == "ultraminimal-c4":
-            p = lagrangian.C4BlockParams(a=args.a, b=args.b, c=args.c, d=args.d)
-        else:
-            p = lagrangian.C4BlockParams(a=args.a, b=args.b, c=0.0, d=0.0)
-        s = lagrangian.ultraminimal_c4_22(p)
-        six_rho, thirtysix = lagrangian.c4_closed(p)
-        inv = curvature.invariants(s)
-        closed = {"six_rho": six_rho, "thirtysix_rho_perp_sq": thirtysix,
-                  "oracle_rho": inv.rho, "oracle_rho_perp": inv.rho_perp}
-        checks.append(inequalities.CheckResult(
-            lhs=inv.rho, rhs=-inv.rho_perp,
-            holds=inv.rho <= -inv.rho_perp + tol,
-            equality=abs(inv.rho + inv.rho_perp) <= tol,
-            tol=tol, label="ultraminimal-c4-bound"))
-    else:
-        raise ValueError(f"unknown family {name!r}")
-    return s, closed, checks
-
-
-def cmd_family(args):
-    try:
-        s, closed, checks = _family_report(args)
     except (TypeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
-    inv = curvature.invariants(s)
     report = _report_skeleton()
     report.update({
         "input": shape_set_to_document(s, label=args.family),
         "invariants": inv.as_dict(),
-        "closed_forms": closed,
+        "closed_forms": closed_forms(p, inv),
         "checks": [c.as_dict() for c in checks],
     })
     write_json(report, args.output)
-    for c in checks:
-        flag = "equality" if c.equality else ("ok" if c.holds else "FAIL")
-        print(f"{c.label:22s} lhs={c.lhs:+.12e} rhs={c.rhs:+.12e} [{flag}]")
-    return 0 if all(c.holds for c in checks) else 2
+    return _print_checks(checks, 22)
 
 
 def cmd_fuzz(args):
@@ -228,8 +214,17 @@ def cmd_fuzz(args):
     return 0 if summary.hard_failures == 0 else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; 2 means a check failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddvv",
         description="Curvature-inequality checks and extremal search for "
                     "shape-operator configurations.")
@@ -240,7 +235,6 @@ def build_parser():
     p_check.add_argument("--output")
     p_check.add_argument("--csv")
     p_check.add_argument("--tol", type=float, default=inequalities.DEFAULT_TOL)
-    p_check.set_defaults(func=cmd_check)
 
     p_search = sub.add_parser("search", help="multistart extremal search")
     p_search.add_argument("--n", type=int, required=True)
@@ -249,11 +243,9 @@ def build_parser():
     p_search.add_argument("--iters", type=int, default=5000)
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--output")
-    p_search.set_defaults(func=cmd_search)
 
     p_family = sub.add_parser("family", help="evaluate a closed-form family")
-    p_family.add_argument("family", choices=[
-        "h-umbilical", "minimal-c3", "s3-equality", "ultraminimal-c4", "eq51"])
+    p_family.add_argument("family", choices=list(FAMILIES))
     p_family.add_argument("--n", type=int, default=3)
     p_family.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p_family.add_argument("--mu", type=float, default=0.0)
@@ -264,7 +256,6 @@ def build_parser():
     p_family.add_argument("--csf-c", dest="csf_c", type=float, default=None)
     p_family.add_argument("--tol", type=float, default=inequalities.DEFAULT_TOL)
     p_family.add_argument("--output")
-    p_family.set_defaults(func=cmd_family)
 
     p_fuzz = sub.add_parser("fuzz", help="run the random property suite")
     p_fuzz.add_argument("--n", type=int, required=True)
@@ -272,13 +263,17 @@ def build_parser():
     p_fuzz.add_argument("--samples", type=int, default=1000)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--tol", type=float, default=inequalities.DEFAULT_TOL)
-    p_fuzz.set_defaults(func=cmd_fuzz)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # a NaN or negative --tol would fail every check, and an infinite one pass it
+    if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
+        print(f"input error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
+        return 1
+    # looked up at call time, so a replaced cmd_* module attribute is the one called
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ property the test suite checks, never an assumption made here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,14 +97,7 @@ class CurvatureInvariants:
     ambient_c: float = 0.0
 
     def as_dict(self):
-        return {
-            "rho": self.rho,
-            "rho_perp": self.rho_perp,
-            "h_sq": self.h_sq,
-            "b_sq": self.b_sq,
-            "slack": self.slack,
-            "ambient_c": self.ambient_c,
-        }
+        return asdict(self)
 
 
 def traceless_parts(s: ShapeOperatorSet) -> MatrixTuple:
@@ -163,15 +156,18 @@ def invariants(s: ShapeOperatorSet) -> CurvatureInvariants:
 
     rho = c + |H|^2 - |b|^2 / (n(n-1)) and
     rho_perp = sqrt(sum_{a, b} ||[B_a, B_b]||^2) / (n(n-1)), both from the
-    traceless parts B_a.
+    traceless parts B_a.  The commutators are taken on B 2^-e, with 2^e close to
+    |b|; scaling by a power of two is exact, so rho_perp keeps every bit of the
+    unscaled sum and neither underflows nor overflows before |b|^2 does.
     """
     n = s.n
     parts = traceless_parts(s)
-    comm, _ = commutators_and_gram(parts.mats)
-    h_sq = mean_curvature_sq(s)
     b_sq = parts.norm_sq_total()
+    e = int(np.frexp(b_sq)[1]) // 2
+    comm, _ = commutators_and_gram(np.ldexp(parts.mats, -e))
+    h_sq = mean_curvature_sq(s)
     rho = s.ambient_c + h_sq - b_sq / (n * (n - 1))
-    rho_perp = float(np.sqrt(np.vdot(comm, comm))) / (n * (n - 1))
+    rho_perp = float(np.ldexp(np.sqrt(np.vdot(comm, comm)), 2 * e)) / (n * (n - 1))
     slack = h_sq - rho_perp + s.ambient_c - rho
     return CurvatureInvariants(
         rho=rho,

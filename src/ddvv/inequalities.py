@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import MatrixTuple, ShapeOperatorSet, _relative_traces, invariants
-from .matrix_core import as_symmetric, commutators_and_gram, frobenius_inner, frobenius_norm_sq
+from . import curvature
+from .curvature import MatrixTuple, ShapeOperatorSet, _relative_traces
+from .matrix_core import (
+    as_symmetric, commutators_and_gram, frobenius_inner, frobenius_norm_sq, unit_stack)
 
 DEFAULT_TOL = 1e-9
 
@@ -39,11 +41,13 @@ class CheckResult:
 
 
 def _result(lhs, rhs, tol, label):
-    scale = max(1.0, abs(rhs))
-    equality = bool(abs(lhs - rhs) <= tol * scale)
-    holds = bool(equality or lhs <= rhs + tol * scale)
-    return CheckResult(lhs=float(lhs), rhs=float(rhs), holds=holds,
-                       equality=equality, tol=tol, label=label)
+    return _bound(lhs, rhs, tol, label, abs(lhs - rhs) <= tol * max(1.0, abs(rhs)))
+
+
+def _bound(lhs, rhs, tol, label, equality):
+    holds = equality or lhs <= rhs + tol * max(1.0, abs(rhs))
+    return CheckResult(lhs=float(lhs), rhs=float(rhs), holds=bool(holds),
+                       equality=bool(equality), tol=tol, label=label)
 
 
 def _as_stack(mats):
@@ -58,13 +62,6 @@ def _as_stack(mats):
     return as_symmetric(arr)
 
 
-def _normalize_stack(mats):
-    total = np.sum(mats * mats)
-    if total > 0:
-        return mats / np.sqrt(total)  # sum of squared Frobenius norms becomes 1
-    return mats
-
-
 def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     """Commutator-sum bound for traceless symmetric tuples.
 
@@ -74,13 +71,13 @@ def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     mats = _as_stack(t)
     if np.any(_relative_traces(mats) > tol):
         raise ValueError("ddvv_check requires traceless matrices")
-    comm, gram = commutators_and_gram(_normalize_stack(mats))
+    comm, gram = commutators_and_gram(unit_stack(mats)[0])
     return _result(np.vdot(comm, comm), np.trace(gram) ** 2, tol, "ddvv")
 
 
 def cdk_check(b1, b2, tol=DEFAULT_TOL) -> CheckResult:
     """Pairwise commutator bound ||[B1, B2]||^2 <= 2 ||B1||^2 ||B2||^2."""
-    comm, gram = commutators_and_gram(_normalize_stack(_as_stack([b1, b2])))
+    comm, gram = commutators_and_gram(unit_stack(_as_stack([b1, b2]))[0])
     lhs = np.vdot(comm[0, 1], comm[0, 1])
     return _result(lhs, 2.0 * gram[0, 0] * gram[1, 1], tol, "cdk")
 
@@ -104,7 +101,7 @@ def cdk_equality_detect(b1, b2, tol=DEFAULT_TOL) -> bool:
     check = cdk_check(mats[0], mats[1], tol)
     if not check.equality:
         return False
-    mats = _normalize_stack(mats)
+    mats = unit_stack(mats)[0]
     m1, m2 = mats[0], mats[1]
     if frobenius_norm_sq(m1) <= tol and frobenius_norm_sq(m2) <= tol:
         return True
@@ -123,7 +120,7 @@ def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
     Both double sums run over all ordered pairs, including the diagonal
     terms <B_a, B_a>^2 = ||B_a||^4.  Trace-free input is not required.
     """
-    comm, gram = commutators_and_gram(_normalize_stack(_as_stack(t)))
+    comm, gram = commutators_and_gram(unit_stack(_as_stack(t))[0])
     lhs = np.vdot(comm, comm) + np.vdot(gram, gram)
     return _result(lhs, 1.5 * np.trace(gram) ** 2, tol, "li-li")
 
@@ -147,6 +144,30 @@ def weak_constant_n(n: int) -> float:
     return float(np.sqrt((2.0 / 3.0) * (n * n + n - 3) / (n * n + n - 4)))
 
 
+def _invariant_checks(s: ShapeOperatorSet, inv, tol):
+    """ddvv, chen, weak-codim and weak-dim from the invariants `inv` of `s`.
+
+    As rho_perp = sqrt(sum ||[B_a, B_b]||^2) / (n(n-1)), the DDVV sides of the
+    unit stack B / |b| are (n(n-1) rho_perp / |b|^2)^2 and 1, or 0 and 0.
+    """
+    n, c, nonzero = s.n, inv.ambient_c, inv.b_sq > 0
+    ddvv = (n * (n - 1) * inv.rho_perp / inv.b_sq) ** 2 if nonzero else 0.0
+    cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
+    return [
+        _result(ddvv, float(nonzero), tol, "ddvv"),
+        _bound(inv.rho, inv.h_sq + c, tol, "chen", inv.b_sq <= tol),
+        _result(inv.rho, inv.h_sq - cm * inv.rho_perp + c, tol, "weak-codim"),
+        _result(inv.rho, inv.h_sq - weak_constant_n(n) * inv.rho_perp + c, tol, "weak-dim"),
+    ]
+
+
+def point_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
+    """(invariants, [ddvv, chen, weak-codim, weak-dim, li-li]) of `s`; every
+    check but li-li is read off one `curvature.invariants` evaluation."""
+    inv = curvature.invariants(s)
+    return inv, [*_invariant_checks(s, inv, tol), lili_check(s.ops, tol)]
+
+
 def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     """The two provable weakenings rho <= |H|^2 - C rho_perp + c.
 
@@ -154,23 +175,12 @@ def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     m = 1 the normal curvature vanishes and the codimension constant is
     irrelevant; it is taken as 1 so the check degenerates to Chen's bound.
     """
-    inv = invariants(s)
-    cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
-    cn = weak_constant_n(s.n)
-    rm = _result(inv.rho, inv.h_sq - cm * inv.rho_perp + s.ambient_c, tol,
-                 "weak-codim")
-    rn = _result(inv.rho, inv.h_sq - cn * inv.rho_perp + s.ambient_c, tol,
-                 "weak-dim")
-    return rm, rn
+    return tuple(_invariant_checks(s, curvature.invariants(s), tol)[2:])
 
 
 def chen_check(s: ShapeOperatorSet, tol=DEFAULT_TOL) -> CheckResult:
     """Normally-flat bound rho <= |H|^2 + c; equality iff b vanishes."""
-    inv = invariants(s)
-    res = _result(inv.rho, inv.h_sq + s.ambient_c, tol, "chen")
-    equality = inv.b_sq <= tol
-    return CheckResult(lhs=res.lhs, rhs=res.rhs, holds=res.holds,
-                       equality=equality, tol=tol, label=res.label)
+    return _invariant_checks(s, curvature.invariants(s), tol)[1]
 
 
 def gram_diagonalizing_mix(t):

@@ -1,9 +1,9 @@
 """Dense symmetric-matrix primitives.
 
 The pointwise algebra runs on whole (m, n, n) stacks: `as_symmetric`
-validates a stack, `traceless_project` is the symmetric-traceless
-projection, and `commutators_and_gram` gives every commutator [B_a, B_b]
-and the Gram matrix <B_a, B_b> from one product.  The per-matrix
+validates a stack, `traceless_project` is the symmetric-traceless projection,
+`unit_stack` scales to total norm 1, and `commutators_and_gram` gives every
+commutator [B_a, B_b] and the Gram matrix <B_a, B_b> from one product.  The per-matrix
 `commutator`, `frobenius_inner`, `frobenius_norm_sq` and `conjugate` are
 the references the tests compare against.  Seeded random generation
 completes the module.  All matrices are plain float64 numpy arrays;
@@ -96,6 +96,12 @@ def traceless_project(a):
     d -= np.einsum("...i->...", d)[..., None] / n
     diag[...] = d
     return out
+
+
+def unit_stack(mats):
+    """(mats / |mats|, |mats|^2): the stack scaled to total norm 1, a zero stack unscaled."""
+    total = float(np.sum(mats * mats))
+    return (mats / np.sqrt(total) if total > 0 else mats), total
 
 
 def commutators_and_gram(mats):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -176,3 +177,65 @@ def test_fuzz_command(capsys):
                      "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "hard failures: 0" in out
+
+
+def random_doc(seed, n=4, m=3, scale=1.0):
+    g = np.random.default_rng(seed).standard_normal((m, n, n))
+    ops = (g + g.transpose(0, 2, 1)) / 2 * scale
+    return {"n": n, "m": m, "ambient_c": 0.0, "shape_operators": ops.tolist()}
+
+
+@pytest.mark.parametrize("doc", [cdk_doc(), random_doc(5)])
+def test_check_tol_zero(tmp_path, doc):
+    # the traceless parts keep a trace of rounding, which tol 0 does not forgive
+    p = tmp_path / "point.json"
+    write_doc(p, doc)
+    assert cli.main(["check", "--input", str(p), "--tol", "0"]) == 0
+
+
+def test_fuzz_tol_zero():
+    assert cli.main(["fuzz", "--n", "3", "--m", "2", "--samples", "200", "--tol", "0"]) == 0
+
+
+def test_check_at_large_scale(tmp_path):
+    # rho_perp is taken on the unit stack, so its commutators do not overflow
+    p = tmp_path / "large.json"
+    write_doc(p, random_doc(5, scale=1e80))
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 0
+    weak = [c for c in json.loads(out.read_text())["checks"] if c["label"].startswith("weak")]
+    assert len(weak) == 2
+    assert all(math.isfinite(c["rhs"]) and not c["equality"] for c in weak)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["check", "--input", "in.json", "--tol", "abc"], ["family", "nonsense"], []])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf"])
+@pytest.mark.parametrize("command", [
+    ["check", "--input"], ["family", "eq51", "--a", "1"], ["fuzz", "--n", "3", "--m", "2"]])
+def test_bad_tol_is_an_input_error(tmp_path, capsys, command, tol):
+    p = tmp_path / "cdk.json"
+    write_doc(p, cdk_doc())
+    argv = [*command, str(p)] if command[-1] == "--input" else command
+    assert cli.main([*argv, f"--tol={tol}"]) == 1
+    assert capsys.readouterr().err.startswith("input error: --tol")
+
+
+def test_main_calls_the_current_command_handler(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_fuzz", lambda args: 7)
+    assert cli.main(["fuzz", "--n", "2", "--m", "1"]) == 7
+
+
+def test_family_equality_at_large_scale(capsys):
+    # the slack of this equality case is exactly 0 when rho_perp keeps every
+    # bit of the commutator sum; one rounding of |b| exceeds the absolute tol
+    assert cli.main(["family", "eq51", "--a", "1e4", "--b", "0.3"]) == 0
+    assert capsys.readouterr().out.endswith("[equality]\n")

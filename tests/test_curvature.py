@@ -130,3 +130,16 @@ def test_shape_set_validation():
 def test_matrix_tuple_rejects_trace():
     with pytest.raises(ValueError):
         cv.MatrixTuple(np.eye(3)[None])
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e80])
+def test_invariants_exact_across_scales(scale):
+    # the commutators are taken on the unit stack, so rho_perp neither
+    # underflows nor overflows before |b|^2 does
+    rng = np.random.default_rng(41)
+    for n, m in [(2, 2), (3, 3), (4, 4), (6, 6), (8, 3), (3, 8)]:
+        ops = random_shape_set(n, m, rng).ops
+        unit = cv.invariants(ShapeOperatorSet(ops)).as_dict()
+        scaled = cv.invariants(ShapeOperatorSet(ops * scale)).as_dict()
+        for key in ("rho", "rho_perp", "h_sq", "b_sq", "slack"):
+            assert scaled[key] / scale**2 == pytest.approx(unit[key], rel=1e-12, abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddvv import inequalities as ineq
-from ddvv.curvature import ShapeOperatorSet, traceless_parts
+from ddvv.curvature import ShapeOperatorSet, invariants, traceless_parts
 from ddvv.fuzz import random_shape_set
 from ddvv.matrix_core import (
     commutator,
@@ -241,3 +241,25 @@ def test_ddvv_proved_regimes_fuzz():
         m = int(rng.integers(1, 7))
         s = random_shape_set(n, m, rng)
         assert ineq.ddvv_check(traceless_parts(s)).holds
+
+
+def test_point_checks_match_the_separate_checks():
+    rng = np.random.default_rng(43)
+    b1, b2 = cdk_pair()
+    sets = [ShapeOperatorSet(np.stack([b1, b2])),
+            ShapeOperatorSet(np.stack([2.0 * np.eye(3), -np.eye(3)]), ambient_c=0.5),
+            ShapeOperatorSet(np.zeros((2, 3, 3)))]
+    for _ in range(300):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+        s = random_shape_set(n, m, rng)
+        sets.append(ShapeOperatorSet(s.ops * 10.0 ** rng.uniform(-3, 3), s.ambient_c))
+    for s in sets:
+        inv, checks = ineq.point_checks(s)
+        assert inv == invariants(s)
+        separate = [ineq.ddvv_check(traceless_parts(s)), ineq.chen_check(s),
+                    *ineq.weak_checks(s), ineq.lili_check(s.ops)]
+        assert [c.label for c in checks] == [c.label for c in separate]
+        for got, want in zip(checks, separate):
+            assert got.lhs == pytest.approx(want.lhs, rel=1e-12, abs=1e-12)
+            assert got.rhs == pytest.approx(want.rhs, rel=1e-12, abs=1e-12)
+            assert (got.holds, got.equality) == (want.holds, want.equality)
