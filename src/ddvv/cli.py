@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 import time
 
@@ -215,7 +216,17 @@ def cmd_fuzz(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, the input-error code; 2 means a check failed."""
+    """Usage errors exit 1, the input-error code; 2 means a check failed.
+
+    A negative number in scientific notation, such as `--b -2e-1`, is read
+    as a value, not as an option: before Python 3.13 argparse only knew
+    plain negative integers and decimals.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -21,6 +21,9 @@ from .matrix_core import traceless_project
 VIOLATION_THRESHOLD = 1.0 + 1e-6
 STOP_REASONS = ("grad_tol", "line_search", "max_iters")
 MIN_STEP = 1e-18
+STEP_GROWTH = 1.1  # a new iteration first tries the last accepted step times this
+ARMIJO_SIGMA = 1e-4  # accept a gain of at least this times the predicted gain t |g|^2
+FLOOR_ULPS = 8.0  # stop once t |g|^2 <= FLOOR_ULPS eps max(1, |f|), the rounding floor
 BATCH_ENTRIES = 2**22  # entries of the block products of one batch of restarts
 
 
@@ -156,14 +159,18 @@ def riemannian_gradient(t, parts=None):
 
 
 def ascend(config: SearchConfig, start):
-    """Projected gradient ascent with backtracking from one start or a stack.
+    """Projected gradient ascent with an Armijo step from one start or a stack.
 
     `start` is one tuple (m, n, n) or R independent starts (R, m, n, n).
-    Every restart runs the same algorithm: from `step_init`, shrink the
-    step by `step_shrink` until the renormalized candidate beats the
-    current value; stop at `grad_tol`, when the step falls to MIN_STEP,
-    or after `max_iters` iterations.  Iterates stay on the sphere and the
-    objective never decreases between accepted iterates.
+    Every restart runs the same algorithm.  Each restart remembers its last
+    accepted step t; a new iteration first tries STEP_GROWTH t (the first
+    iteration tries `step_init`) and shrinks the step by `step_shrink` until
+    the renormalized candidate raises the value by at least
+    ARMIJO_SIGMA t |g|^2, with g the Riemannian gradient.  A restart stops
+    at `grad_tol`; with `line_search` once the predicted gain t |g|^2 falls
+    to the rounding floor FLOOR_ULPS eps max(1, |f|) of the objective, or
+    the step to MIN_STEP; or after `max_iters` iterations.  Iterates stay on
+    the sphere and the objective never decreases between accepted iterates.
 
     The restarts advance together: each pass evaluates one candidate per
     live restart in one batched kernel call, and a restart whose candidate
@@ -182,31 +189,34 @@ def ascend(config: SearchConfig, start):
     q, w = _products(x)
     value = objective(x, (q, w))
     r = len(x)
-    rgrad, step = np.empty_like(x), np.empty(r)
+    rgrad, gain = np.empty_like(x), np.empty(r)  # gain: |g|^2 of the iterate
+    step = np.full(r, config.step_init)  # the next step each restart tries
     iters = np.zeros(r, dtype=int)
     stop = np.full(r, "", dtype="<U11")  # a STOP_REASONS entry once stopped
     fresh = np.ones(r, dtype=bool)  # iterate moved: start a new iteration
+    floor = FLOOR_ULPS * np.finfo(float).eps
     while True:
         f = np.flatnonzero(fresh)
         if f.size:
             g = riemannian_gradient(x[f], (q[f], w[f]))
             iters[f] += 1
-            rgrad[f], step[f], fresh[f] = g, config.step_init, False
-            gnorm = np.sqrt(np.sum(g * g, axis=(1, 2, 3)))
-            stop[f[gnorm <= config.grad_tol]] = "grad_tol"
-        stop[(stop == "") & (step <= MIN_STEP)] = "line_search"
+            rgrad[f], gain[f], fresh[f] = g, np.sum(g * g, axis=(1, 2, 3)), False
+            stop[f[np.sqrt(gain[f]) <= config.grad_tol]] = "grad_tol"
+        stalled = (step * gain <= floor * np.maximum(1.0, np.abs(value))) | (step <= MIN_STEP)
+        stop[(stop == "") & stalled] = "line_search"
         live = np.flatnonzero(stop == "")
         if not live.size:
             break
         cand = normalize(x[live] + step[live, None, None, None] * rgrad[live])
         cand_q, cand_w = _products(cand)
         cand_value = objective(cand, (cand_q, cand_w))
-        up = cand_value > value[live]
+        up = cand_value >= value[live] + ARMIJO_SIGMA * step[live] * gain[live]
         acc = live[up]
         x[acc], value[acc], q[acc], w[acc] = cand[up], cand_value[up], cand_q[up], cand_w[up]
         out_of_iters = iters[acc] >= config.max_iters
         stop[acc[out_of_iters]] = "max_iters"
         fresh[acc[~out_of_iters]] = True
+        step[acc] *= STEP_GROWTH
         step[live[~up]] *= config.step_shrink
     outcomes = [RestartOutcome(value=float(v), iterations=int(k), stop_reason=str(s))
                 for v, k, s in zip(value, iters, stop)]

@@ -3,7 +3,7 @@
 Each check returns a CheckResult with the two sides, a holds flag and an
 equality flag.  Checks on matrix tuples normalize to total norm 1 first
 (both sides are degree-4 homogeneous), so one absolute tolerance fits all
-scales.
+scales; the curvature checks of a point scale their tolerance with it.
 """
 
 from __future__ import annotations
@@ -41,11 +41,14 @@ class CheckResult:
 
 
 def _result(lhs, rhs, tol, label):
-    return _bound(lhs, rhs, tol, label, abs(lhs - rhs) <= tol * max(1.0, abs(rhs)))
+    return _bound(lhs, rhs, tol, label, tol * max(1.0, abs(rhs)))
 
 
-def _bound(lhs, rhs, tol, label, equality):
-    holds = equality or lhs <= rhs + tol * max(1.0, abs(rhs))
+def _bound(lhs, rhs, tol, label, atol, equality=None):
+    """Holds if lhs <= rhs + atol; equality if |lhs - rhs| <= atol, unless given."""
+    if equality is None:
+        equality = abs(lhs - rhs) <= atol
+    holds = equality or lhs <= rhs + atol
     return CheckResult(lhs=float(lhs), rhs=float(rhs), holds=bool(holds),
                        equality=bool(equality), tol=tol, label=label)
 
@@ -149,15 +152,22 @@ def _invariant_checks(s: ShapeOperatorSet, inv, tol):
 
     As rho_perp = sqrt(sum ||[B_a, B_b]||^2) / (n(n-1)), the DDVV sides of the
     unit stack B / |b| are (n(n-1) rho_perp / |b|^2)^2 and 1, or 0 and 0.
+    The other three compare sides that are signed sums of terms bounded by
+    the point's degree-2 scale |c| + |H|^2 + |b|^2 / (n(n-1)), and take their
+    tolerance relative to it: scaling the operators by 2^k and c by 4^k scales
+    every invariant exactly by 4^k and leaves every flag unchanged.  Chen's
+    sides differ by exactly |b|^2 / (n(n-1)), which decides its equality.
     """
     n, c, nonzero = s.n, inv.ambient_c, inv.b_sq > 0
     ddvv = (n * (n - 1) * inv.rho_perp / inv.b_sq) ** 2 if nonzero else 0.0
     cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
+    gap = inv.b_sq / (n * (n - 1))
+    atol = tol * (abs(c) + inv.h_sq + gap)
     return [
         _result(ddvv, float(nonzero), tol, "ddvv"),
-        _bound(inv.rho, inv.h_sq + c, tol, "chen", inv.b_sq <= tol),
-        _result(inv.rho, inv.h_sq - cm * inv.rho_perp + c, tol, "weak-codim"),
-        _result(inv.rho, inv.h_sq - weak_constant_n(n) * inv.rho_perp + c, tol, "weak-dim"),
+        _bound(inv.rho, inv.h_sq + c, tol, "chen", atol, gap <= atol),
+        _bound(inv.rho, inv.h_sq - cm * inv.rho_perp + c, tol, "weak-codim", atol),
+        _bound(inv.rho, inv.h_sq - weak_constant_n(n) * inv.rho_perp + c, tol, "weak-dim", atol),
     ]
 
 
@@ -179,7 +189,7 @@ def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
 
 
 def chen_check(s: ShapeOperatorSet, tol=DEFAULT_TOL) -> CheckResult:
-    """Normally-flat bound rho <= |H|^2 + c; equality iff b vanishes."""
+    """Normally-flat bound rho <= |H|^2 + c; equality iff b vanishes at the point's scale."""
     return _invariant_checks(s, curvature.invariants(s), tol)[1]
 
 

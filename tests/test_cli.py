@@ -147,6 +147,11 @@ def test_fuzz_invalid_dims(dims, capsys):
     ["family", "ultraminimal-c4", "--a", "1", "--b", "0.5", "--c", "0.3"],
     ["family", "eq51", "--a", "1", "--b", "-0.2"],
     ["family", "minimal-c3", "--a", "1", "--csf-c", "0.5"],
+    # negative values in scientific notation, which argparse before
+    # Python 3.13 takes for options
+    ["family", "eq51", "--a", "1", "--b", "-2e-1"],
+    ["family", "h-umbilical", "--lambda", "-1e-1", "--mu", "2"],
+    ["family", "minimal-c3", "--a", "1", "--csf-c", "-1E+0"],
 ])
 def test_family_commands(tmp_path, argv):
     out = tmp_path / "fam.json"

@@ -206,3 +206,26 @@ def test_kernels_on_a_stack_match_per_tuple_calls():
     stack[2] = 0.0
     with pytest.raises(ValueError):
         ex.normalize(stack)
+
+
+def test_ascend_from_a_maximizer_stops_at_once(monkeypatch):
+    config = ex.SearchConfig(n=4, m=3, restarts=8, seed=3)
+    best = ex.multistart(config).best_tuple.mats
+    rows, original = [], ex._products
+
+    def counted(mats):
+        rows.append(len(mats) if mats.ndim == 4 else 1)
+        return original(mats)
+
+    monkeypatch.setattr(ex, "_products", counted)
+    value, _, outcome = ex.ascend(config, best)
+    assert outcome.stop_reason in ("grad_tol", "line_search")
+    assert sum(rows) - 1 <= 2  # the first call evaluates the start itself
+    assert value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_multistart_reaches_the_ceiling_in_few_iterations():
+    report = ex.multistart(ex.SearchConfig(n=6, m=6, restarts=8, seed=1))
+    for outcome in report.per_restart:
+        assert outcome.value == pytest.approx(1.0, abs=1e-9)
+    assert np.median([o.iterations for o in report.per_restart]) <= 50

@@ -263,3 +263,22 @@ def test_point_checks_match_the_separate_checks():
             assert got.lhs == pytest.approx(want.lhs, rel=1e-12, abs=1e-12)
             assert got.rhs == pytest.approx(want.rhs, rel=1e-12, abs=1e-12)
             assert (got.holds, got.equality) == (want.holds, want.equality)
+
+
+def test_flags_do_not_depend_on_scale():
+    rng = np.random.default_rng(53)
+    b1, b2 = cdk_pair()
+    sets = [ShapeOperatorSet(np.stack([b1, b2]), ambient_c=0.3),
+            ShapeOperatorSet(np.stack([2.0 * np.eye(3), -np.eye(3)]), ambient_c=0.5)]
+    sets += [random_shape_set(int(rng.integers(2, 7)), int(rng.integers(1, 7)), rng)
+             for _ in range(50)]
+    for s in sets:
+        base = [(c.holds, c.equality) for c in ineq.point_checks(s)[1]]
+        for k in (-400, -150, -17, 17, 150, 400):
+            scaled = ShapeOperatorSet(np.ldexp(s.ops, k), np.ldexp(s.ambient_c, 2 * k))
+            assert [(c.holds, c.equality) for c in ineq.point_checks(scaled)[1]] == base
+    # a random point far below unit size is no equality case
+    g = rng.standard_normal((3, 4, 4))
+    for scale in (1e-5, 1e-100):
+        s = ShapeOperatorSet(scale * (g + g.transpose(0, 2, 1)), ambient_c=0.0)
+        assert not any(c.equality for c in ineq.point_checks(s)[1])
