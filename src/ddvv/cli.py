@@ -176,18 +176,14 @@ def cmd_family(args):
         p = params(args)
         s = shape_set(p)
         inv = curvature.invariants(s)
-        # rho <= |H|^2 - rho_perp + c, with an absolute tolerance on the slack
-        checks = [inequalities.CheckResult(
-            lhs=inv.rho, rhs=inv.h_sq - inv.rho_perp + inv.ambient_c,
-            holds=inv.slack >= -tol, equality=abs(inv.slack) <= tol, tol=tol, label=label)]
+        # rho <= |H|^2 - rho_perp + c, with the tolerance of the point's degree-2 scale
+        checks = [inequalities._bound(
+            inv.rho, inv.h_sq - inv.rho_perp + inv.ambient_c, tol, label,
+            inequalities._point_atol(inv, s.n, tol))]
         if args.csf_c is not None and closed_forms is _c3_forms:  # the C^3 families
             csf = lagrangian.csf_invariants(s, args.csf_c)
             bound = lagrangian.csf_bound_rhs(csf.rho, args.csf_c)
-            checks.append(inequalities.CheckResult(
-                lhs=csf.rho_perp**2, rhs=bound,
-                holds=csf.rho_perp**2 <= bound + tol,
-                equality=abs(csf.rho_perp**2 - bound) <= tol * max(1.0, abs(bound)),
-                tol=tol, label="csf-bound"))
+            checks.append(inequalities._result(csf.rho_perp**2, bound, tol, "csf-bound"))
     except (TypeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1

@@ -2,7 +2,8 @@
 
 Hard failures are violations of proved statements: dual-route agreement,
 invariances and the inequalities, the DDVV bound among them (proved for all
-(n, m) by Ge & Tang, 2008, and Lu, 2011).
+(n, m) by Ge & Tang, 2008, and Lu, 2011).  Samples are drawn and checked in
+blocks, each block as one stack of points.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from . import curvature, inequalities
 from .curvature import ShapeOperatorSet
 from .matrix_core import random_orthogonal, unit_stack
 
+# Entries of the (B, m, m, n, n) commutator stack of one block of B samples;
+# this bounds the memory of a block, 2^20 entries at (4, 4) being 4096 samples.
+BLOCK_ENTRIES = 2**20
+
 
 def random_shape_set(n, m, rng, ambient_range=1.0):
     """Unit-normalized random shape operators with a random ambient c."""
@@ -25,7 +30,7 @@ def random_shape_set(n, m, rng, ambient_range=1.0):
 
 
 def _rel_err(x, y):
-    return abs(x - y) / max(1.0, abs(x), abs(y))
+    return np.abs(x - y) / np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
 
 
 @dataclass
@@ -35,54 +40,77 @@ class FuzzSummary:
     failure_labels: list = field(default_factory=list)
 
     def record(self, ok, label):
-        if not ok:
-            self.hard_failures += 1
+        """Count each False in `ok`, a bool or a bool array, as a failure of `label`."""
+        failures = int(np.size(ok) - np.count_nonzero(ok))
+        if failures:
+            self.hard_failures += failures
             if label not in self.failure_labels:
                 self.failure_labels.append(label)
 
 
+def _block(n, m, size, streams, tol, rel_tol):
+    """(label, ok per sample) of every property over `size` new samples.
+
+    Each kind of draw has its own stream and takes it sample by sample, so
+    sample k is the same whatever the block sizes.
+    """
+    ops_rng, tangent_rng, normal_rng, uniform_rng = streams
+    g = ops_rng.standard_normal((size, m, n, n))
+    ops, _ = unit_stack((g + np.swapaxes(g, -1, -2)) / 2.0)
+    u = uniform_rng.random((size, 3))
+    s = ShapeOperatorSet(ops, ambient_c=2.0 * u[:, 0] - 1.0)
+
+    # dual-route agreement
+    inv, checks = inequalities.point_checks(s, tol)
+    rho_a = curvature.rho_direct(s)
+    rp_a = curvature.rho_perp_direct(s)
+    props = [("rho-dual-route", _rel_err(rho_a, inv.rho) <= rel_tol),
+             ("rho-perp-dual-route", _rel_err(rp_a, inv.rho_perp) <= rel_tol)]
+
+    # orthogonal invariance (tangent conjugation and normal mixing)
+    o_t = random_orthogonal(n, tangent_rng, (size, 1))
+    conj = ShapeOperatorSet(np.swapaxes(o_t, -1, -2) @ ops @ o_t, s.ambient_c)
+    o_n = random_orthogonal(m, normal_rng, (size,))
+    mixed = ShapeOperatorSet(
+        (np.swapaxes(o_n, -1, -2) @ ops.reshape(size, m, n * n)).reshape(ops.shape),
+        s.ambient_c)
+    for name, other in (("tangent", conj), ("normal", mixed)):
+        props += [(f"rho-{name}-invariance",
+                   _rel_err(curvature.rho_direct(other), rho_a) <= rel_tol),
+                  (f"rho-perp-{name}-invariance",
+                   _rel_err(curvature.rho_perp_direct(other), rp_a) <= rel_tol)]
+    props.append(("h-sq-normal-invariance",
+                  _rel_err(curvature.mean_curvature_sq(mixed), inv.h_sq) <= rel_tol))
+
+    # theorem-status inequalities
+    props += [(check.label, check.holds) for check in checks]
+    if m >= 2:
+        i = (u[:, 1] * m).astype(int)
+        j = (i + 1 + (u[:, 2] * (m - 1)).astype(int)) % m
+        k = np.arange(size)
+        props.append(("cdk", inequalities.cdk_check(ops[k, i], ops[k, j], tol).holds))
+    return props
+
+
 def run_fuzz(n, m, samples, seed, tol=1e-9, rel_tol=1e-10):
-    """Run the full property suite over seeded random configurations."""
+    """Run the full property suite over seeded random configurations.
+
+    Samples are checked in blocks of at most BLOCK_ENTRIES / (mn)^2.  The
+    summary does not depend on the block size: failure labels come in the
+    order of their first failing sample, properties of one sample in suite
+    order.
+    """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     if samples < 0:
         raise ValueError("samples must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), n, m]))
+    root = np.random.SeedSequence([seed & (2**64 - 1), n, m])
+    streams = [np.random.default_rng(child) for child in root.spawn(4)]
     summary = FuzzSummary(samples=samples)
-    for k in range(samples):
-        s = random_shape_set(n, m, rng)
-
-        # dual-route agreement
-        inv, checks = inequalities.point_checks(s, tol)
-        rho_a = curvature.rho_direct(s)
-        summary.record(_rel_err(rho_a, inv.rho) <= rel_tol, "rho-dual-route")
-        rp_a = curvature.rho_perp_direct(s)
-        summary.record(_rel_err(rp_a, inv.rho_perp) <= rel_tol, "rho-perp-dual-route")
-
-        # orthogonal invariance (tangent conjugation and normal mixing)
-        o_t = random_orthogonal(n, rng.integers(2**63))
-        conj = ShapeOperatorSet(o_t.T @ s.ops @ o_t, s.ambient_c)
-        summary.record(_rel_err(curvature.rho_direct(conj), rho_a) <= rel_tol,
-                       "rho-tangent-invariance")
-        summary.record(
-            _rel_err(curvature.rho_perp_direct(conj), rp_a) <= rel_tol,
-            "rho-perp-tangent-invariance")
-        o_n = random_orthogonal(m, rng.integers(2**63))
-        mixed = ShapeOperatorSet(
-            np.einsum("ab,aij->bij", o_n, s.ops), s.ambient_c)
-        summary.record(_rel_err(curvature.rho_direct(mixed), rho_a) <= rel_tol,
-                       "rho-normal-invariance")
-        summary.record(
-            _rel_err(curvature.rho_perp_direct(mixed), rp_a) <= rel_tol,
-            "rho-perp-normal-invariance")
-        summary.record(_rel_err(curvature.mean_curvature_sq(mixed), inv.h_sq) <= rel_tol,
-                       "h-sq-normal-invariance")
-
-        # theorem-status inequalities
-        for check in checks:
-            summary.record(check.holds, check.label)
-        if m >= 2:
-            i, j = rng.choice(m, size=2, replace=False)
-            summary.record(
-                inequalities.cdk_check(s.ops[i], s.ops[j], tol).holds, "cdk")
+    block = max(1, BLOCK_ENTRIES // (m * n) ** 2)
+    for first in range(0, samples, block):
+        props = _block(n, m, min(block, samples - first), streams, tol, rel_tol)
+        # a stable sort by first failing sample keeps suite order within one
+        for label, ok in sorted(props, key=lambda p: p[1].size if p[1].all() else p[1].argmin()):
+            summary.record(ok, label)
     return summary

@@ -4,6 +4,8 @@ Each check returns a CheckResult with the two sides, a holds flag and an
 equality flag.  Checks on matrix tuples normalize to total norm 1 first
 (both sides are degree-4 homogeneous), so one absolute tolerance fits all
 scales; the curvature checks of a point scale their tolerance with it.
+Every check decides elementwise: a stack of points or tuples, with leading
+axes, gives a CheckResult of arrays; one point gives Python floats and bools.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from . import curvature
 from .curvature import MatrixTuple, ShapeOperatorSet, _relative_traces
 from .matrix_core import (
-    as_symmetric, commutators_and_gram, frobenius_inner, frobenius_norm_sq, unit_stack)
+    as_symmetric, commutators_and_gram, frobenius_inner, frobenius_norm_sq, sum_sq, unit_stack)
 
 DEFAULT_TOL = 1e-9
 
@@ -41,27 +43,36 @@ class CheckResult:
 
 
 def _result(lhs, rhs, tol, label):
-    return _bound(lhs, rhs, tol, label, tol * max(1.0, abs(rhs)))
+    return _bound(lhs, rhs, tol, label, tol * np.maximum(1.0, abs(rhs)))
 
 
 def _bound(lhs, rhs, tol, label, atol, equality=None):
-    """Holds if lhs <= rhs + atol; equality if |lhs - rhs| <= atol, unless given."""
+    """Holds if lhs <= rhs + atol; equality if |lhs - rhs| <= atol, unless given.
+
+    Floats or arrays of one shape; the decision is elementwise.
+    """
     if equality is None:
         equality = abs(lhs - rhs) <= atol
-    holds = equality or lhs <= rhs + atol
-    return CheckResult(lhs=float(lhs), rhs=float(rhs), holds=bool(holds),
-                       equality=bool(equality), tol=tol, label=label)
+    holds = equality | (lhs <= rhs + atol)
+    if not isinstance(holds, np.ndarray):  # one point: plain Python values
+        lhs, rhs, holds, equality = float(lhs), float(rhs), bool(holds), bool(equality)
+    return CheckResult(lhs=lhs, rhs=rhs, holds=holds, equality=equality, tol=tol, label=label)
+
+
+def _point_atol(inv, n, tol):
+    """tol (|c| + |H|^2 + |b|^2 / (n(n-1))): the tolerance of a point's degree-2 scale."""
+    return tol * (abs(inv.ambient_c) + inv.h_sq + inv.b_sq / (n * (n - 1)))
 
 
 def _as_stack(mats):
-    """Coerce a MatrixTuple, (m,n,n) array or list of matrices to a stack."""
+    """Coerce a MatrixTuple, (..., m, n, n) array or list of matrices to a stack."""
     if isinstance(mats, MatrixTuple):
         return np.asarray(mats.mats, dtype=float)
     arr = np.asarray(mats, dtype=float)
     if arr.ndim == 2:
         arr = arr[None, :, :]
-    if arr.ndim != 3:
-        raise ValueError(f"expected (m, n, n) matrices, got shape {arr.shape}")
+    if arr.ndim < 3:
+        raise ValueError(f"expected (..., m, n, n) matrices, got shape {arr.shape}")
     return as_symmetric(arr)
 
 
@@ -75,14 +86,19 @@ def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     if np.any(_relative_traces(mats) > tol):
         raise ValueError("ddvv_check requires traceless matrices")
     comm, gram = commutators_and_gram(unit_stack(mats)[0])
-    return _result(np.vdot(comm, comm), np.trace(gram) ** 2, tol, "ddvv")
+    return _result(sum_sq(comm, 4), np.trace(gram, axis1=-2, axis2=-1) ** 2, tol, "ddvv")
 
 
 def cdk_check(b1, b2, tol=DEFAULT_TOL) -> CheckResult:
-    """Pairwise commutator bound ||[B1, B2]||^2 <= 2 ||B1||^2 ||B2||^2."""
-    comm, gram = commutators_and_gram(unit_stack(_as_stack([b1, b2]))[0])
-    lhs = np.vdot(comm[0, 1], comm[0, 1])
-    return _result(lhs, 2.0 * gram[0, 0] * gram[1, 1], tol, "cdk")
+    """Pairwise commutator bound ||[B1, B2]||^2 <= 2 ||B1||^2 ||B2||^2.
+
+    `b1` and `b2` are two matrices or two (..., n, n) stacks of them, one
+    pair per leading index.
+    """
+    pairs = _as_stack(np.stack([b1, b2], axis=-3))
+    comm, gram = commutators_and_gram(unit_stack(pairs)[0])
+    lhs = sum_sq(comm[..., 0, 1, :, :], 2)
+    return _result(lhs, 2.0 * gram[..., 0, 0] * gram[..., 1, 1], tol, "cdk")
 
 
 def _rank(b, tol):
@@ -117,15 +133,20 @@ def cdk_equality_detect(b1, b2, tol=DEFAULT_TOL) -> bool:
     return True
 
 
-def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
+def lili_check(t, tol=DEFAULT_TOL, parts=None) -> CheckResult:
     """Commutator plus Gram-square bound with constant 3/2.
 
     Both double sums run over all ordered pairs, including the diagonal
     terms <B_a, B_a>^2 = ||B_a||^4.  Trace-free input is not required.
+    `parts` is (sum ||[B_a, B_b]||^2, Gram matrix) of the unit stack of `t`
+    when already computed.
     """
-    comm, gram = commutators_and_gram(unit_stack(_as_stack(t))[0])
-    lhs = np.vdot(comm, comm) + np.vdot(gram, gram)
-    return _result(lhs, 1.5 * np.trace(gram) ** 2, tol, "li-li")
+    if parts is None:
+        comm, gram = commutators_and_gram(unit_stack(_as_stack(t))[0])
+        parts = sum_sq(comm, 4), gram
+    comm_sq, gram = parts
+    trace = np.trace(gram, axis1=-2, axis2=-1)
+    return _result(comm_sq + sum_sq(gram, 2), 1.5 * trace**2, tol, "li-li")
 
 
 def weak_constant_m(m: int) -> float:
@@ -159,12 +180,13 @@ def _invariant_checks(s: ShapeOperatorSet, inv, tol):
     sides differ by exactly |b|^2 / (n(n-1)), which decides its equality.
     """
     n, c, nonzero = s.n, inv.ambient_c, inv.b_sq > 0
-    ddvv = (n * (n - 1) * inv.rho_perp / inv.b_sq) ** 2 if nonzero else 0.0
+    # a zero b has rho_perp = 0: divide by 1 there
+    ddvv = (n * (n - 1) * inv.rho_perp / (inv.b_sq + (inv.b_sq == 0))) ** 2
     cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
     gap = inv.b_sq / (n * (n - 1))
-    atol = tol * (abs(c) + inv.h_sq + gap)
+    atol = _point_atol(inv, n, tol)
     return [
-        _result(ddvv, float(nonzero), tol, "ddvv"),
+        _result(ddvv, 1.0 * nonzero, tol, "ddvv"),
         _bound(inv.rho, inv.h_sq + c, tol, "chen", atol, gap <= atol),
         _bound(inv.rho, inv.h_sq - cm * inv.rho_perp + c, tol, "weak-codim", atol),
         _bound(inv.rho, inv.h_sq - weak_constant_n(n) * inv.rho_perp + c, tol, "weak-dim", atol),
@@ -172,10 +194,24 @@ def _invariant_checks(s: ShapeOperatorSet, inv, tol):
 
 
 def point_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
-    """(invariants, [ddvv, chen, weak-codim, weak-dim, li-li]) of `s`; every
-    check but li-li is read off one `curvature.invariants` evaluation."""
+    """(invariants, [ddvv, chen, weak-codim, weak-dim, li-li]) of a point or a
+    stack of points, from one `curvature.invariants` evaluation.
+
+    Li-Li needs the commutator sum and the Gram matrix of the operators
+    A_a = B_a + H_a I themselves, on their unit stack.  Both come off the
+    traceless stack exactly: [A_a, A_b] = [B_a, B_b], so the commutator sum
+    is (n(n-1) rho_perp)^2, and <A_a, A_b> = <B_a, B_b> + n H_a H_b, with
+    |A|^2 = |b|^2 + n |H|^2.
+    """
     inv = curvature.invariants(s)
-    return inv, [*_invariant_checks(s, inv, tol), lili_check(s.ops, tol)]
+    n = s.n
+    total = inv.b_sq + n * inv.h_sq
+    total = np.asarray(total + (total == 0))  # a zero point has zero sides: divide by 1
+    # sqrt(n) H / |A|, at most 1, so its outer product cannot overflow
+    u = s.ops.trace(axis1=-2, axis2=-1) / np.sqrt(n * total)[..., None]
+    gram = inv.gram / total[..., None, None] + u[..., :, None] * u[..., None, :]
+    comm_sq = (n * (n - 1) * inv.rho_perp / total) ** 2
+    return inv, [*_invariant_checks(s, inv, tol), lili_check(s.ops, tol, (comm_sq, gram))]
 
 
 def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):

@@ -1,13 +1,16 @@
 """Dense symmetric-matrix primitives.
 
-The pointwise algebra runs on whole (m, n, n) stacks: `as_symmetric`
-validates a stack, `traceless_project` is the symmetric-traceless projection,
-`unit_stack` scales to total norm 1, and `commutators_and_gram` gives every
-commutator [B_a, B_b] and the Gram matrix <B_a, B_b> from one product.  The per-matrix
-`commutator`, `frobenius_inner`, `frobenius_norm_sq` and `conjugate` are
-the references the tests compare against.  Seeded random generation
-completes the module.  All matrices are plain float64 numpy arrays;
-dimensions are dynamic (working range n, m <= 12 or so).
+The pointwise algebra runs on whole (..., m, n, n) stacks, one tuple of m
+matrices per leading index: `as_symmetric` validates a stack,
+`traceless_project` is the symmetric-traceless projection, `unit_stack`
+scales each tuple to total norm 1, `commutators_and_gram` gives every
+commutator [B_a, B_b] and the Gram matrix <B_a, B_b> from one product, and
+`sum_sq` is the squared norm over trailing axes.  A tuple without leading
+axes is the batch-free case of the same code.  The per-matrix `commutator`,
+`frobenius_inner`, `frobenius_norm_sq` and `conjugate` are the references
+the tests compare against.  Seeded random generation completes the module.
+All matrices are plain float64 numpy arrays; dimensions are dynamic
+(working range n, m <= 12 or so).
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ def as_symmetric(a, warn_tol=SYMMETRIZE_WARN_TOL, err_tol=SYMMETRIZE_ERR_TOL):
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.size == 0:
         raise ValueError(f"expected a nonempty input, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("input has NaN or infinite entries")
-    at = np.swapaxes(a, -1, -2)
-    asym = float(np.max(np.abs(a - at)))
+    at = a.swapaxes(-1, -2)
+    asym = float(np.abs(a - at).max())
     if asym > err_tol:
         raise AsymmetricMatrixError(
             f"matrix asymmetry {asym:.3e} exceeds tolerance {err_tol:.1e}"
@@ -98,27 +101,51 @@ def traceless_project(a):
     return out
 
 
+def scalar_or_array(x):
+    """A Python float or bool for a value without leading axes, else the array."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x
+    return x.item() if isinstance(x, (np.ndarray, np.generic)) else x
+
+
+def sum_sq(x, axes):
+    """Sum of squares over the last `axes` axes of an array, a float without
+    leading axes.
+
+    Each leading index takes one BLAS dot product, the one np.vdot makes,
+    so a point in a stack gets the same bits as on its own.
+    """
+    lead = x.shape[:x.ndim - axes]
+    if not lead:
+        return float(np.vdot(x, x))
+    flat = np.ascontiguousarray(x).reshape(*lead, 1, -1)
+    return (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+
+
 def unit_stack(mats):
-    """(mats / |mats|, |mats|^2): the stack scaled to total norm 1, a zero stack unscaled."""
-    total = float(np.sum(mats * mats))
-    return (mats / np.sqrt(total) if total > 0 else mats), total
+    """(mats / |mats|, |mats|^2) per tuple of an (..., m, n, n) stack: each tuple
+    scaled to total norm 1, a zero tuple unscaled."""
+    total = (mats * mats).sum(axis=(-3, -2, -1))
+    scale = np.sqrt(total + (total == 0))  # 1 for a zero tuple
+    return mats / scale[..., None, None, None], scalar_or_array(total)
 
 
 def commutators_and_gram(mats):
-    """The commutators [B_a, B_b] as an (m, m, n, n) stack and the m x m Gram
-    matrix <B_a, B_b> of an (m, n, n) stack.
+    """The commutators [B_a, B_b] as an (..., m, m, n, n) stack and the m x m
+    Gram matrices <B_a, B_b> of an (..., m, n, n) stack.
 
-    One GEMM, (mn, n) @ (n, mn), gives every product B_a B_b as block
-    (a, b).  [B_a, B_a] is exactly zero, and so is the commutator of two
-    diagonal matrices, since both of its products sum the same terms.
+    One batched GEMM, (mn, n) @ (n, mn) per tuple, gives every product
+    B_a B_b as block (a, b).  [B_a, B_a] is exactly zero, and so is the
+    commutator of two diagonal matrices, since both of its products sum the
+    same terms.
     """
     mats = np.asarray(mats, dtype=float)
-    m, n = mats.shape[0], mats.shape[-1]
-    rows = mats.reshape(m * n, n)  # [B_1; ...; B_m]
-    cols = mats.transpose(1, 0, 2).reshape(n, m * n)  # [B_1 | ... | B_m]
-    prod = (rows @ cols).reshape(m, n, m, n).transpose(0, 2, 1, 3)
-    flat = mats.reshape(m, n * n)
-    return prod - prod.transpose(1, 0, 2, 3), flat @ flat.T
+    lead, (m, n) = mats.shape[:-3], mats.shape[-3:-1]
+    rows = mats.reshape(*lead, m * n, n)  # [B_1; ...; B_m]
+    cols = mats.swapaxes(-3, -2).reshape(*lead, n, m * n)  # [B_1 | ... | B_m]
+    prod = (rows @ cols).reshape(*lead, m, n, m, n).swapaxes(-3, -2)
+    flat = mats.reshape(*lead, m, n * n)
+    return prod - prod.swapaxes(-4, -3), flat @ flat.swapaxes(-1, -2)
 
 
 def conjugate(a, o):
@@ -135,21 +162,24 @@ def orthogonality_defect(o):
     return float(np.max(np.abs(o.T @ o - np.eye(o.shape[0]))))
 
 
-def random_orthogonal(n, seed):
-    """Haar-distributed orthogonal matrix from a QR factorization.
+def random_orthogonal(n, seed, shape=()):
+    """Haar-distributed orthogonal matrices, (*shape, n, n), from QR factorizations.
 
-    A standard-Gaussian matrix is orthonormalized and the signs of the
-    R diagonal fixed so the distribution is uniform.  Deterministic for a
-    fixed seed.
+    Standard-Gaussian matrices are orthonormalized and the signs of each R
+    diagonal fixed so the distribution is uniform.  `seed` is anything
+    np.random.default_rng accepts; a Generator is drawn from in place.
+    Deterministic for a fixed integer seed, and the matrices of a stack are
+    drawn one after another, so a stack of k continues the same stream as k
+    single draws from one Generator.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n))
+    g = rng.standard_normal((*shape, n, n))
     q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return q * d
+    return q * d[..., None, :]
 
 
 def random_traceless_sym(n, seed):

@@ -244,3 +244,26 @@ def test_family_equality_at_large_scale(capsys):
     # bit of the commutator sum; one rounding of |b| exceeds the absolute tol
     assert cli.main(["family", "eq51", "--a", "1e4", "--b", "0.3"]) == 0
     assert capsys.readouterr().out.endswith("[equality]\n")
+
+
+def test_family_bound_is_relative_to_the_point_scale(capsys):
+    # lhs and rhs agree to rounding at |b|^2 ~ 6e8; an absolute |slack| <= tol
+    # reported FAIL and exit 2 here
+    argv = ["family", "eq51", "--a", "-4364.352471432212", "--b", "-11698.01907772864"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith("[equality]\n")
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8])
+def test_family_bounds_hold_at_large_scale(scale, capsys):
+    rng = np.random.default_rng(int(math.log10(scale)))
+    for _ in range(40):
+        a, b = (repr(float(x)) for x in rng.standard_normal(2) * scale)
+        csf_c = repr(float(rng.standard_normal() * scale**2))
+        assert cli.main(["family", "eq51", "--a", a, "--b", b]) == 0
+        assert cli.main(["family", "s3-equality", "--a", a, "--csf-c", csf_c]) == 0
+
+
+def test_fuzz_without_samples(capsys):
+    assert cli.main(["fuzz", "--n", "3", "--m", "2", "--samples", "0"]) == 0
+    assert capsys.readouterr().out.startswith("samples: 0\nhard failures: 0\n")

@@ -44,10 +44,10 @@ def test_rho_trivial_cases():
 
 def test_cdk_pair_invariants():
     s = cdk_shape_set()
-    assert cv.rho_identity(s) == pytest.approx(-0.5)
+    assert cv.invariants(s).rho == pytest.approx(-0.5)
     assert cv.rho_direct(s) == pytest.approx(-0.5)
     assert cv.rho_perp_direct(s) == pytest.approx(0.5)
-    assert cv.rho_perp_commutator(s) == pytest.approx(0.5)
+    assert cv.invariants(s).rho_perp == pytest.approx(0.5)
     assert cv.invariants(s).slack == pytest.approx(0.0, abs=1e-14)
 
 
@@ -57,7 +57,7 @@ def test_rho_perp_m1_and_commuting():
     diag = ShapeOperatorSet(np.stack([np.diag([1.0, -2.0, 1.0]),
                                       np.diag([0.5, 0.5, -1.0])]))
     assert cv.rho_perp_direct(diag) == 0.0
-    assert cv.rho_perp_commutator(diag) == 0.0
+    assert cv.invariants(diag).rho_perp == 0.0
     assert ineq.ddvv_check(cv.traceless_parts(diag)).lhs == 0.0
 
 
@@ -66,8 +66,8 @@ def test_dual_route_agreement(n, m):
     rng = np.random.default_rng(1000 + 10 * n + m)
     for _ in range(200):
         s = random_shape_set(n, m, rng)
-        assert rel_err(cv.rho_direct(s), cv.rho_identity(s)) <= 1e-10
-        assert rel_err(cv.rho_perp_direct(s), cv.rho_perp_commutator(s)) <= 1e-10
+        assert rel_err(cv.rho_direct(s), cv.invariants(s).rho) <= 1e-10
+        assert rel_err(cv.rho_perp_direct(s), cv.invariants(s).rho_perp) <= 1e-10
 
 
 def test_tangent_and_normal_invariance():

@@ -1,0 +1,69 @@
+"""The batched property suite: determinism, block independence and fault detection."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ddvv import curvature, fuzz
+from ddvv.curvature import ShapeOperatorSet
+
+
+def test_run_fuzz_is_deterministic_per_seed():
+    a, b = fuzz.run_fuzz(4, 3, 50, seed=17), fuzz.run_fuzz(4, 3, 50, seed=17)
+    assert a == b == fuzz.FuzzSummary(samples=50)
+
+
+@pytest.fixture
+def faulty_rho(monkeypatch):
+    """rho_direct off by 1 on the samples whose first entry exceeds 0.1."""
+    original = curvature.rho_direct
+
+    def shifted(s):
+        return original(s) + (s.ops[..., 0, 0, 0] > 0.1)
+
+    monkeypatch.setattr(curvature, "rho_direct", shifted)
+
+
+@pytest.mark.usefixtures("faulty_rho")
+def test_summary_does_not_depend_on_the_block_size(monkeypatch):
+    n, m, samples = 3, 2, 40
+    whole = fuzz.run_fuzz(n, m, samples, seed=5)
+    assert 0 < whole.hard_failures < 3 * samples
+    for block in (1, 7):
+        monkeypatch.setattr(fuzz, "BLOCK_ENTRIES", block * (m * n) ** 2)
+        assert fuzz.run_fuzz(n, m, samples, seed=5) == whole
+
+
+def test_a_shifted_rho_perp_fails_every_sample(monkeypatch):
+    original = curvature.invariants
+
+    def shifted(s):
+        inv = original(s)
+        return dataclasses.replace(inv, rho_perp=inv.rho_perp * (1 + 1e-8))
+
+    monkeypatch.setattr(curvature, "invariants", shifted)
+    summary = fuzz.run_fuzz(4, 3, 100, seed=1)
+    assert summary.hard_failures == 100
+    assert summary.failure_labels == ["rho-perp-dual-route"]
+
+
+def test_an_oracle_on_the_traceless_parts_fails(monkeypatch):
+    original = curvature.rho_direct
+
+    def on_traceless_parts(s):
+        return original(ShapeOperatorSet(curvature.traceless_parts(s).mats, s.ambient_c))
+
+    monkeypatch.setattr(curvature, "rho_direct", on_traceless_parts)
+    summary = fuzz.run_fuzz(4, 3, 100, seed=2)
+    assert summary.hard_failures == 100
+    assert summary.failure_labels == ["rho-dual-route"]
+
+
+def test_record_takes_a_bool_or_an_array():
+    summary = fuzz.FuzzSummary(samples=3)
+    summary.record(True, "a")
+    summary.record(np.array([True, False, False]), "b")
+    summary.record(False, "c")
+    summary.record(np.array([False, True, True]), "b")
+    assert (summary.hard_failures, summary.failure_labels) == (4, ["b", "c"])

@@ -282,3 +282,29 @@ def test_flags_do_not_depend_on_scale():
     for scale in (1e-5, 1e-100):
         s = ShapeOperatorSet(scale * (g + g.transpose(0, 2, 1)), ambient_c=0.0)
         assert not any(c.equality for c in ineq.point_checks(s)[1])
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_point_checks_make_one_kernel_call(monkeypatch, lead):
+    from ddvv import curvature, matrix_core
+
+    calls = []
+
+    def counted(mats):
+        calls.append(np.shape(mats))
+        return matrix_core.commutators_and_gram(mats)
+
+    monkeypatch.setattr(curvature, "commutators_and_gram", counted)
+    monkeypatch.setattr(ineq, "commutators_and_gram", counted)
+    g = np.random.default_rng(61).standard_normal((*lead, 3, 4, 4))
+    ineq.point_checks(ShapeOperatorSet(g + g.swapaxes(-1, -2)))
+    assert calls == [(*lead, 3, 4, 4)]
+
+
+def test_lili_of_a_point_with_huge_mean_curvature():
+    # |A|^2 overflows while the traceless parts are zero; the li-li sides
+    # are taken on the unit stack and must not turn into NaN
+    s = ShapeOperatorSet(np.stack([2.0 * np.eye(3), -np.eye(3)]) * 1e155)
+    with np.errstate(over="ignore", invalid="ignore"):  # |H|^2 itself overflows
+        lili = ineq.point_checks(s)[1][-1]
+    assert lili.label == "li-li" and lili.holds
