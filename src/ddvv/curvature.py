@@ -45,9 +45,10 @@ class ShapeOperatorSet:
             raise ValueError("need at least one shape operator")
         if ops.shape[-1] < 2:
             raise ValueError("tangent dimension must be >= 2")
-        ambient_c = np.asarray(self.ambient_c, dtype=float)
+        ambient_c = np.array(self.ambient_c, dtype=float)  # a copy, frozen like ops
         if ambient_c.shape != ops.shape[:-3]:
             ambient_c = np.broadcast_to(ambient_c, ops.shape[:-3])
+        ambient_c.setflags(write=False)
         if not np.isfinite(ambient_c).all():
             raise ValueError(f"ambient_c must be finite, got {self.ambient_c}")
         ops = as_symmetric(ops)

@@ -21,12 +21,14 @@ from .matrix_core import random_orthogonal, unit_stack
 BLOCK_ENTRIES = 2**20
 
 
-def random_shape_set(n, m, rng, ambient_range=1.0):
-    """Unit-normalized random shape operators with a random ambient c."""
-    g = rng.standard_normal((m, n, n))
-    ops, _ = unit_stack((g + np.transpose(g, (0, 2, 1))) / 2.0)
-    c = float(rng.uniform(-ambient_range, ambient_range))
-    return ShapeOperatorSet(ops, ambient_c=c)
+def random_shape_set(n, m, rng, ambient_range=1.0, size=(), ambient_c=None):
+    """Unit-normalized random shape operators, (*size, m, n, n), with an ambient
+    c drawn uniformly from [-ambient_range, ambient_range) unless given."""
+    g = rng.standard_normal((*size, m, n, n))
+    ops, _ = unit_stack((g + np.swapaxes(g, -1, -2)) / 2.0)
+    if ambient_c is None:
+        ambient_c = rng.uniform(-ambient_range, ambient_range, size)
+    return ShapeOperatorSet(ops, ambient_c=ambient_c)
 
 
 def _rel_err(x, y):
@@ -55,10 +57,9 @@ def _block(n, m, size, streams, tol, rel_tol):
     sample k is the same whatever the block sizes.
     """
     ops_rng, tangent_rng, normal_rng, uniform_rng = streams
-    g = ops_rng.standard_normal((size, m, n, n))
-    ops, _ = unit_stack((g + np.swapaxes(g, -1, -2)) / 2.0)
     u = uniform_rng.random((size, 3))
-    s = ShapeOperatorSet(ops, ambient_c=2.0 * u[:, 0] - 1.0)
+    s = random_shape_set(n, m, ops_rng, size=(size,), ambient_c=2.0 * u[:, 0] - 1.0)
+    ops = s.ops
 
     # dual-route agreement
     inv, checks = inequalities.point_checks(s, tol)

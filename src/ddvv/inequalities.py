@@ -133,18 +133,18 @@ def cdk_equality_detect(b1, b2, tol=DEFAULT_TOL) -> bool:
     return True
 
 
-def lili_check(t, tol=DEFAULT_TOL, parts=None) -> CheckResult:
+def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
     """Commutator plus Gram-square bound with constant 3/2.
 
     Both double sums run over all ordered pairs, including the diagonal
     terms <B_a, B_a>^2 = ||B_a||^4.  Trace-free input is not required.
-    `parts` is (sum ||[B_a, B_b]||^2, Gram matrix) of the unit stack of `t`
-    when already computed.
     """
-    if parts is None:
-        comm, gram = commutators_and_gram(unit_stack(_as_stack(t))[0])
-        parts = sum_sq(comm, 4), gram
-    comm_sq, gram = parts
+    comm, gram = commutators_and_gram(unit_stack(_as_stack(t))[0])
+    return _lili_sides(sum_sq(comm, 4), gram, tol)
+
+
+def _lili_sides(comm_sq, gram, tol):
+    """Li-Li from sum ||[B_a, B_b]||^2 and the Gram matrix of a unit stack."""
     trace = np.trace(gram, axis1=-2, axis2=-1)
     return _result(comm_sq + sum_sq(gram, 2), 1.5 * trace**2, tol, "li-li")
 
@@ -207,11 +207,12 @@ def point_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     n = s.n
     total = inv.b_sq + n * inv.h_sq
     total = np.asarray(total + (total == 0))  # a zero point has zero sides: divide by 1
-    # sqrt(n) H / |A|, at most 1, so its outer product cannot overflow
-    u = s.ops.trace(axis1=-2, axis2=-1) / np.sqrt(n * total)[..., None]
+    # sqrt(n) H / |A|, at most 1, so its outer product cannot overflow; the
+    # square roots are taken apart, as n |A|^2 overflows before |A|^2 does
+    u = s.ops.trace(axis1=-2, axis2=-1) / (np.sqrt(n) * np.sqrt(total))[..., None]
     gram = inv.gram / total[..., None, None] + u[..., :, None] * u[..., None, :]
     comm_sq = (n * (n - 1) * inv.rho_perp / total) ** 2
-    return inv, [*_invariant_checks(s, inv, tol), lili_check(s.ops, tol, (comm_sq, gram))]
+    return inv, [*_invariant_checks(s, inv, tol), _lili_sides(comm_sq, gram, tol)]
 
 
 def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):

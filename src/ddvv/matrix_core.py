@@ -112,14 +112,12 @@ def sum_sq(x, axes):
     """Sum of squares over the last `axes` axes of an array, a float without
     leading axes.
 
-    Each leading index takes one BLAS dot product, the one np.vdot makes,
-    so a point in a stack gets the same bits as on its own.
+    Each leading index takes one BLAS dot product, (1, K) @ (K, 1), so a
+    point in a stack gets the same bits as on its own.
     """
     lead = x.shape[:x.ndim - axes]
-    if not lead:
-        return float(np.vdot(x, x))
     flat = np.ascontiguousarray(x).reshape(*lead, 1, -1)
-    return (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    return scalar_or_array((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
 
 
 def unit_stack(mats):

@@ -100,3 +100,32 @@ def test_shape_set_broadcasts_ambient_c():
         ShapeOperatorSet(ops, [0.1, 0.2])
     with pytest.raises(ValueError):
         ShapeOperatorSet(ops, [0.1, np.nan, 0.2])
+
+
+def test_shape_set_keeps_its_own_frozen_ambient_c():
+    ops, c = stack(3, 2, 3, 4)
+    s = ShapeOperatorSet(ops, c)
+    c[:] = 9.0
+    assert np.all(s.ambient_c != 9.0)
+    with pytest.raises(ValueError):
+        s.ambient_c[0] = 9.0
+
+
+def test_sum_sq_of_one_point_is_the_vdot_and_a_float():
+    ops, _ = stack(4, 3, 5, 6)
+    for k in range(4):
+        one = mc.sum_sq(ops[k], 3)
+        assert type(one) is float and one == np.vdot(ops[k], ops[k])
+        assert mc.sum_sq(ops, 3)[k] == one
+
+
+def test_random_shape_set_takes_a_leading_size():
+    from ddvv.fuzz import random_shape_set
+
+    s = random_shape_set(4, 3, np.random.default_rng(7), ambient_range=0.5, size=(5,))
+    assert s.ops.shape == (5, 3, 4, 4) and s.ambient_c.shape == (5,)
+    assert np.all(np.abs(s.ambient_c) <= 0.5)
+    np.testing.assert_allclose(mc.sum_sq(s.ops, 3), 1.0, rtol=1e-15)
+    given = random_shape_set(4, 3, np.random.default_rng(7), size=(5,), ambient_c=0.25)
+    np.testing.assert_array_equal(given.ops, s.ops)
+    assert np.all(given.ambient_c == 0.25)

@@ -308,3 +308,16 @@ def test_lili_of_a_point_with_huge_mean_curvature():
     with np.errstate(over="ignore", invalid="ignore"):  # |H|^2 itself overflows
         lili = ineq.point_checks(s)[1][-1]
     assert lili.label == "li-li" and lili.holds
+
+
+@pytest.mark.parametrize("scale", [1e152, 1e153])
+def test_lili_sides_where_n_times_norm_sq_overflows(scale):
+    # n |A|^2 overflows above |A|^2 of about DBL_MAX / n while |A|^2 and
+    # |b|^2 stay finite; the mean-curvature term must stay in the Gram matrix
+    g = np.random.default_rng(67).standard_normal((3, 4, 4))
+    parts = traceless_parts(ShapeOperatorSet(g + g.transpose(0, 2, 1))).mats
+    s = ShapeOperatorSet(scale * (parts + np.array([1.0, -2.0, 0.5])[:, None, None] * np.eye(4)))
+    lili, want = ineq.point_checks(s)[1][-1], ineq.lili_check(s.ops)
+    assert lili.lhs == pytest.approx(want.lhs, rel=1e-13)
+    assert lili.rhs == pytest.approx(want.rhs, rel=1e-13)
+    assert (lili.holds, lili.equality) == (want.holds, want.equality)
