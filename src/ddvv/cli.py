@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -23,21 +24,36 @@ from .fuzz import run_fuzz
 from .matrix_core import AsymmetricMatrixError
 
 
+_NUMBER = {int, float}  # the types json gives a number
+
+
 def read_input_document(path):
-    """Parse an input JSON document into a ShapeOperatorSet plus label."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    """Parse an input JSON document into a ShapeOperatorSet plus label.
+
+    n and m must be JSON integers, and ambient_c and every operator entry
+    JSON numbers: a string, a boolean or null is malformed, though Python
+    or numpy would convert it.
+    """
+    with open(path, "rb") as f:  # json.loads decodes UTF-8 bytes faster than a text read
+        doc = json.loads(f.read())
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-        mats = doc["shape_operators"]
-        c = float(doc.get("ambient_c", 0.0))
-    except (KeyError, TypeError, ValueError) as e:
+        n, m, mats = doc["n"], doc["m"], doc["shape_operators"]
+        c = doc.get("ambient_c", 0.0)
+        if type(n) is not int or type(m) is not int:
+            raise TypeError(f"n and m must be integers, got {n!r} and {m!r}")
+        if type(c) not in _NUMBER:
+            raise TypeError(f"ambient_c must be a number, got {c!r}")
+        arr = np.asarray(mats, dtype=float)
+        c = float(c)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"malformed input document: {e}") from e
-    arr = np.asarray(mats, dtype=float)
     if arr.shape != (m, n, n):
         raise ValueError(
             f"shape_operators has shape {arr.shape}, expected ({m}, {n}, {n})")
+    # the shape says that mats nests three lists deep; the types of its
+    # entries are read off directly, as numpy converts "0.5", true and null
+    if not set(map(type, chain.from_iterable(chain.from_iterable(mats)))) <= _NUMBER:
+        raise ValueError("malformed input document: shape_operators entries must be numbers")
     return ShapeOperatorSet(arr, ambient_c=c), doc.get("label")
 
 
@@ -53,12 +69,65 @@ def shape_set_to_document(s, label=None):
     return doc
 
 
+def _json_text(obj, indent=""):
+    """The text of json.dumps(obj, indent=2) for a value nested at `indent`.
+
+    For indented output json runs its pure-Python encoder, which spends most
+    of a report on its rows of floats; here each row is one join at C speed.
+    Whatever this does not cover (a non-str key, a subclass of a JSON type,
+    a type that json rejects) goes through json itself.
+    """
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = None
+        if isinstance(obj[0], float):  # tried first, as most lists are rows
+            try:
+                body = _json_floats(sep.join(map(float.__repr__, obj)))
+            except TypeError:  # not floats only
+                pass
+        if body is None:
+            body = sep.join([_json_text(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            return "{}"
+        body = sep.join([f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_floats(text):
+    """Float reprs with NaN and infinities spelled as json spells them.
+
+    A finite float's repr never contains "n", so most text is returned as is.
+    """
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# the JSON text of a leaf, by its exact type
+_LEAVES = {
+    float: lambda x: _json_floats(float.__repr__(x)),
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def write_json(doc, path):
+    """Write `doc` as json.dump(doc, f, indent=2) does, plus a newline, in one write."""
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    text = _json_text(doc) + "\n"
+    with open(path, "wb") as f:  # the text is ASCII, as json's is
+        f.write(text.encode())
 
 
 def write_csv(checks, path):
@@ -279,8 +348,12 @@ def main(argv=None):
     if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
         print(f"input error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
         return 1
-    # looked up at call time, so a replaced cmd_* module attribute is the one called
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        # looked up at call time, so a replaced cmd_* module attribute is the one called
+        return globals()[f"cmd_{args.command}"](args)
+    except OSError as e:  # each command reports an unreadable input itself
+        print(f"output error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -71,6 +71,12 @@ def _relative_traces(mats):
     return np.abs(mats.trace(axis1=-2, axis2=-1)) / np.maximum(1.0, norms)
 
 
+def _check_traceless(mats):
+    excess = _relative_traces(mats)
+    if (excess > TRACELESS_TOL).any():
+        raise ValueError(f"matrix has relative trace {np.max(excess):.3e}, not traceless")
+
+
 @dataclass(frozen=True)
 class MatrixTuple:
     """Ordered tuple of m traceless symmetric n x n matrices, shape (..., m, n, n)."""
@@ -82,9 +88,7 @@ class MatrixTuple:
         if mats.ndim < 3:
             raise ValueError(f"expected shape (..., m, n, n), got {mats.shape}")
         mats = as_symmetric(mats)
-        excess = _relative_traces(mats)
-        if np.any(excess > TRACELESS_TOL):
-            raise ValueError(f"matrix has relative trace {np.max(excess):.3e}, not traceless")
+        _check_traceless(mats)
         mats.setflags(write=False)
         object.__setattr__(self, "mats", mats)
 
@@ -178,10 +182,15 @@ def invariants(s: ShapeOperatorSet) -> CurvatureInvariants:
     as on its own.
     """
     n = s.n
-    parts = traceless_parts(s)
-    b_sq = parts.norm_sq_total()
+    # the projection of validated operators is exactly symmetric, so of the
+    # checks of MatrixTuple it needs only these two
+    parts = traceless_project(s.ops)
+    if not np.isfinite(parts).all():
+        raise ValueError("traceless parts overflow the float range")
+    _check_traceless(parts)
+    b_sq = (parts * parts).sum(axis=(-3, -2, -1))
     e = np.frexp(b_sq)[1] // 2
-    comm, gram = commutators_and_gram(np.ldexp(parts.mats, -e[..., None, None, None]))
+    comm, gram = commutators_and_gram(np.ldexp(parts, -e[..., None, None, None]))
     h_sq = mean_curvature_sq(s)
     rho = s.ambient_c + h_sq - b_sq / (n * (n - 1))
     rho_perp = np.ldexp(np.sqrt(sum_sq(comm, 4)), 2 * e) / (n * (n - 1))
@@ -190,7 +199,7 @@ def invariants(s: ShapeOperatorSet) -> CurvatureInvariants:
         rho=scalar_or_array(rho),
         rho_perp=scalar_or_array(rho_perp),
         h_sq=h_sq,
-        b_sq=b_sq,
+        b_sq=scalar_or_array(b_sq),
         slack=scalar_or_array(slack),
         ambient_c=s.ambient_c,
         gram=np.ldexp(gram, 2 * e[..., None, None]),

@@ -32,18 +32,23 @@ class AsymmetricMatrixError(ValueError):
 def as_symmetric(a, warn_tol=SYMMETRIZE_WARN_TOL, err_tol=SYMMETRIZE_ERR_TOL):
     """Return the symmetrized copy (A + A^T)/2 of a square matrix or a stack (..., n, n).
 
-    Raises ValueError on an empty input or a NaN or infinite entry, and
-    AsymmetricMatrixError if the asymmetry of some matrix exceeds
-    `err_tol` in max-entry norm; warns if it exceeds `warn_tol`.
+    Raises ValueError on an empty input, a NaN or infinite entry, or a
+    symmetrized entry that overflows, and AsymmetricMatrixError if the
+    asymmetry of some matrix exceeds `err_tol` in max-entry norm; warns if
+    it exceeds `warn_tol`.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.size == 0:
         raise ValueError(f"expected a nonempty input, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("input has NaN or infinite entries")
     at = a.swapaxes(-1, -2)
+    sym = (a + at) / 2.0
+    # a NaN or infinite entry of a leaves one in sym, so one scan finds both faults
+    if not np.isfinite(sym).all():
+        if np.isfinite(a).all():
+            raise ValueError("symmetric part overflows the float range")
+        raise ValueError("input has NaN or infinite entries")
     asym = float(np.abs(a - at).max())
     if asym > err_tol:
         raise AsymmetricMatrixError(
@@ -51,7 +56,7 @@ def as_symmetric(a, warn_tol=SYMMETRIZE_WARN_TOL, err_tol=SYMMETRIZE_ERR_TOL):
         )
     if asym > warn_tol:
         warnings.warn(f"symmetrizing matrix with asymmetry {asym:.3e}")
-    return (a + at) / 2.0
+    return sym
 
 
 def _check_same_shape(a, b):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddvv import cli
 
@@ -77,17 +79,20 @@ def test_check_asymmetry_error(tmp_path):
     assert cli.main(["check", "--input", str(p)]) == 1
 
 
-@pytest.mark.parametrize("field", ["shape_operators", "ambient_c"])
+@pytest.mark.parametrize("field", ["shape_operators", "ambient_c", "overflow"])
 def test_check_non_finite_input(tmp_path, capsys, field):
     doc = cdk_doc()
     if field == "ambient_c":
         doc["ambient_c"] = float("inf")
+    elif field == "overflow":  # finite, but (A + A^T) / 2 overflows
+        doc["shape_operators"][1][0][0] = 1.5e308
     else:
         doc["shape_operators"][0][0][1] = doc["shape_operators"][0][1][0] = float("nan")
     p = tmp_path / "non-finite.json"
     write_doc(p, doc)
     out = tmp_path / "report.json"
-    assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 1
+    with np.errstate(over="ignore"):
+        assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("input error: ")
     assert not out.exists()
 
@@ -267,3 +272,86 @@ def test_family_bounds_hold_at_large_scale(scale, capsys):
 def test_fuzz_without_samples(capsys):
     assert cli.main(["fuzz", "--n", "3", "--m", "2", "--samples", "0"]) == 0
     assert capsys.readouterr().out.startswith("samples: 0\nhard failures: 0\n")
+
+
+# one command line per subcommand that writes a report
+REPORT_COMMANDS = [
+    ["check", "--input", "<point>"],
+    ["search", "--n", "3", "--m", "2", "--restarts", "4", "--iters", "500", "--seed", "7"],
+    ["family", "eq51", "--a", "1", "--b", "-0.2"],
+]
+
+
+def _argv(command, tmp_path):
+    p = tmp_path / "point.json"
+    write_doc(p, random_doc(8))
+    return [str(p) if arg == "<point>" else arg for arg in command]
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_report_file_is_indented_json(tmp_path, command):
+    out = tmp_path / "report.json"
+    assert cli.main([*_argv(command, tmp_path), "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command, option", [
+    *((command, "--output") for command in REPORT_COMMANDS), (REPORT_COMMANDS[0], "--csv")])
+def test_unwritable_output_is_an_output_error(tmp_path, capsys, command, option):
+    bad = tmp_path / "no" / "such" / "dir" / "out"
+    assert cli.main([*_argv(command, tmp_path), option, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error: ")
+    assert captured.err.count("\n") == 1
+    assert not bad.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.7), ("n", 2.0), ("n", True), ("m", True), ("m", "2"),
+    ("ambient_c", "0.5"), ("ambient_c", True), ("ambient_c", None), ("ambient_c", 10**400),
+    ("entry", "0.5"), ("entry", True), ("entry", None), ("entry", {"x": 1.0}),
+])
+def test_malformed_document_is_an_input_error(tmp_path, capsys, field, value):
+    doc = cdk_doc()
+    if field == "entry":
+        doc["shape_operators"][1][0][0] = value
+    else:
+        doc[field] = value
+    p = tmp_path / "bad.json"
+    write_doc(p, doc)
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("input error: malformed input document")
+    assert not out.exists()
+
+
+def test_integer_entries_are_numbers(tmp_path):
+    # JSON integers, also beyond int64, are numbers like any other
+    doc = {"n": 2, "m": 2, "ambient_c": -1,
+           "shape_operators": [[[0, 10**20], [10**20, 0]], [[10**20, 0], [0, -(10**20)]]]}
+    p = tmp_path / "ints.json"
+    write_doc(p, doc)
+    s, _ = cli.read_input_document(p)
+    np.testing.assert_array_equal(s.ops, np.array(doc["shape_operators"], dtype=float))
+    assert s.ambient_c == -1.0
+
+
+json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")])
+    | st.floats(allow_nan=True).map(np.float64))
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.lists(st.floats(allow_nan=True))
+                      | st.dictionaries(st.text(), children)
+                      | st.dictionaries(st.integers() | st.floats(allow_nan=False), children)),
+    max_leaves=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_trees)
+def test_report_text_is_json_dumps_indent_2(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)

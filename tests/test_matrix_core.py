@@ -114,6 +114,9 @@ def test_as_symmetric_stack_validation():
     nan[2, 1, 1] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         mc.as_symmetric(nan)
+    huge = np.full((2, 2), 1.5e308)  # finite and symmetric, but A + A^T overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        mc.as_symmetric(huge)
     with pytest.raises(ValueError):
         mc.as_symmetric(np.zeros((3, 2, 3)))
 
