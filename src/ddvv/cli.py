@@ -349,8 +349,12 @@ def main(argv=None):
         print(f"input error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
         return 1
     try:
-        # looked up at call time, so a replaced cmd_* module attribute is the one called
-        return globals()[f"cmd_{args.command}"](args)
+        # a point near the float range overflows in intermediate sums; the
+        # commands report such points themselves, so numpy's warnings only
+        # add noise on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            # looked up at call time, so a replaced cmd_* module attribute is the one called
+            return globals()[f"cmd_{args.command}"](args)
     except OSError as e:  # each command reports an unreadable input itself
         print(f"output error: {e}", file=sys.stderr)
         return 1

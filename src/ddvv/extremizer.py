@@ -20,6 +20,7 @@ from .matrix_core import traceless_project
 
 VIOLATION_THRESHOLD = 1.0 + 1e-6
 STOP_REASONS = ("grad_tol", "line_search", "max_iters")
+RUNNING, GRAD_TOL, LINE_SEARCH, MAX_ITERS = -1, 0, 1, 2  # `ascend`: RUNNING or a STOP_REASONS index
 MIN_STEP = 1e-18
 STEP_GROWTH = 1.1  # a new iteration first tries the last accepted step times this
 ARMIJO_SIGMA = 1e-4  # accept a gain of at least this times the predicted gain t |g|^2
@@ -124,7 +125,8 @@ def objective(t, parts=None):
     """
     mats = _stack(t)
     q, w = _products(mats) if parts is None else parts
-    value = 2.0 * (np.sum(q * q, axis=(-2, -1)) - np.sum(mats * w, axis=(-3, -2, -1)))
+    value = 2.0 * (np.einsum("...ij,...ij->...", q, q)
+                   - np.einsum("...aij,...aij->...", mats, w))
     return float(value) if mats.ndim == 3 else value
 
 
@@ -141,21 +143,36 @@ def gradient(t, parts=None):
     """Euclidean gradient of the objective on the traceless symmetric space.
 
     dF/dB_g = 4 sum_b [[B_g, B_b], B_b] = 4 (B_g Q + Q B_g - 2 W_g), which
-    is 8 times the symmetric part of B_g Q - W_g as B_g, Q and W_g are
-    symmetric; the traceless projection is kept for numerical hygiene.
+    is 4 (G_g + G_g^T) with G_g = B_g Q - W_g, as B_g, Q and W_g are
+    symmetric; one batched GEMM gives every B_g Q.  The result is exactly
+    symmetric and needs no traceless projection: by cyclicity
+    tr W_g = sum_b tr(B_b B_g B_b) = sum_b tr(B_g B_b^2) = tr(B_g Q), so
+    tr G_g = 0 for every symmetric tuple, traceless or not.
     `parts` as in `objective`.
     """
     mats = _stack(t)
     q, w = _products(mats) if parts is None else parts
-    return 8.0 * traceless_project(mats @ q[..., None, :, :] - w)
+    m, n = mats.shape[-3:-1]
+    rows = mats.reshape(-1, m * n, n) @ q.reshape(-1, n, n)  # [B_1 Q; ...; B_m Q]
+    g = rows.reshape(mats.shape) - w
+    g = g + np.swapaxes(g, -1, -2)
+    g *= 4.0
+    return g
 
 
 def riemannian_gradient(t, parts=None):
     """Tangential component of the gradient on the unit sphere, per tuple."""
     mats = _stack(t)
     grad = gradient(mats, parts)
-    radial = np.sum(grad * mats, axis=(-3, -2, -1), keepdims=True)
+    radial = np.einsum("...aij,...aij->...", grad, mats)[..., None, None, None]
     return grad - radial * mats
+
+
+def _evaluate(mats):
+    """Value, Riemannian gradient g and |g|^2 of each tuple of an (R, m, n, n) stack."""
+    parts = _products(mats)
+    value, g = objective(mats, parts), riemannian_gradient(mats, parts)
+    return value, g, np.einsum("raij,raij->r", g, g)
 
 
 def ascend(config: SearchConfig, start):
@@ -172,11 +189,13 @@ def ascend(config: SearchConfig, start):
     the step to MIN_STEP; or after `max_iters` iterations.  Iterates stay on
     the sphere and the objective never decreases between accepted iterates.
 
-    The restarts advance together: each pass evaluates one candidate per
-    live restart in one batched kernel call, and a restart whose candidate
-    was accepted starts its next iteration, from the kept (Q, W) of the
-    candidate, in the next pass.  A backtracking restart therefore never
-    holds up the others.
+    The restarts advance together: each pass evaluates the value and the
+    Riemannian gradient of one candidate per live restart in one batched
+    kernel call, and a restart whose candidate was accepted starts its next
+    iteration from that gradient in the next pass.  A backtracking restart
+    therefore never holds up the others.  A candidate x + t g is symmetric
+    and traceless to rounding, so it is only rescaled to the sphere, not
+    projected again.
 
     Returns (values, tuples, outcomes): for one start a float, an
     (m, n, n) array and a RestartOutcome; for a stack an (R,) array, an
@@ -186,39 +205,38 @@ def ascend(config: SearchConfig, start):
     single = x.ndim == 3
     if single:
         x = x[None]
-    q, w = _products(x)
-    value = objective(x, (q, w))
+    value, rgrad, gain = _evaluate(x)
     r = len(x)
-    rgrad, gain = np.empty_like(x), np.empty(r)  # gain: |g|^2 of the iterate
     step = np.full(r, config.step_init)  # the next step each restart tries
-    iters = np.zeros(r, dtype=int)
-    stop = np.full(r, "", dtype="<U11")  # a STOP_REASONS entry once stopped
-    fresh = np.ones(r, dtype=bool)  # iterate moved: start a new iteration
+    iters = np.ones(r, dtype=int)
+    stop = np.where(np.sqrt(gain) <= config.grad_tol, GRAD_TOL, RUNNING)
     floor = FLOOR_ULPS * np.finfo(float).eps
     while True:
-        f = np.flatnonzero(fresh)
-        if f.size:
-            g = riemannian_gradient(x[f], (q[f], w[f]))
-            iters[f] += 1
-            rgrad[f], gain[f], fresh[f] = g, np.sum(g * g, axis=(1, 2, 3)), False
-            stop[f[np.sqrt(gain[f]) <= config.grad_tol]] = "grad_tol"
         stalled = (step * gain <= floor * np.maximum(1.0, np.abs(value))) | (step <= MIN_STEP)
-        stop[(stop == "") & stalled] = "line_search"
-        live = np.flatnonzero(stop == "")
+        stop[(stop == RUNNING) & stalled] = LINE_SEARCH
+        live = np.flatnonzero(stop == RUNNING)
         if not live.size:
             break
-        cand = normalize(x[live] + step[live, None, None, None] * rgrad[live])
-        cand_q, cand_w = _products(cand)
-        cand_value = objective(cand, (cand_q, cand_w))
+        # x + t g stays symmetric and traceless up to rounding: rescale only
+        cand = (x + step[:, None, None, None] * rgrad if live.size == r
+                else x[live] + step[live, None, None, None] * rgrad[live])
+        cand /= np.sqrt(np.sum(cand * cand, axis=(1, 2, 3), keepdims=True))  # as `normalize`
+        cand_value, cand_rgrad, cand_gain = _evaluate(cand)
         up = cand_value >= value[live] + ARMIJO_SIGMA * step[live] * gain[live]
         acc = live[up]
-        x[acc], value[acc], q[acc], w[acc] = cand[up], cand_value[up], cand_q[up], cand_w[up]
-        out_of_iters = iters[acc] >= config.max_iters
-        stop[acc[out_of_iters]] = "max_iters"
-        fresh[acc[~out_of_iters]] = True
+        if acc.size == r:  # every restart accepted: take the candidates whole
+            x, value, rgrad, gain = cand, cand_value, cand_rgrad, cand_gain
+        else:
+            x[acc], value[acc] = cand[up], cand_value[up]
+            rgrad[acc], gain[acc] = cand_rgrad[up], cand_gain[up]
         step[acc] *= STEP_GROWTH
         step[live[~up]] *= config.step_shrink
-    outcomes = [RestartOutcome(value=float(v), iterations=int(k), stop_reason=str(s))
+        out_of_iters = iters[acc] >= config.max_iters
+        stop[acc[out_of_iters]] = MAX_ITERS
+        moved = acc[~out_of_iters]  # these start a new iteration
+        iters[moved] += 1
+        stop[moved[np.sqrt(gain[moved]) <= config.grad_tol]] = GRAD_TOL
+    outcomes = [RestartOutcome(value=float(v), iterations=int(k), stop_reason=STOP_REASONS[s])
                 for v, k, s in zip(value, iters, stop)]
     if single:
         return float(value[0]), x[0], outcomes[0]
@@ -230,8 +248,8 @@ def _restart_start(config: SearchConfig, index: int):
     # report depends only on the config, not on scheduling order.
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & (2**64 - 1),
                                                         index]))
-    g = rng.standard_normal((config.m, config.n, config.n))
-    return traceless_project(g)
+    # The raw draw; `multistart` projects a whole batch of them at once.
+    return rng.standard_normal((config.m, config.n, config.n))
 
 
 def _canonicalize(mats):
@@ -254,10 +272,11 @@ def multistart(config: SearchConfig) -> SearchReport:
     # restarts are independent: batches bound the (R, mn, mn) products
     batch = max(1, BATCH_ENTRIES // (config.m * config.n) ** 2)
     for first in range(0, config.restarts, batch):
-        starts = [_restart_start(config, k)
-                  for k in range(first, min(first + batch, config.restarts))]
-        values, xs, batch_outcomes = ascend(config, np.stack(
-            [start for start in starts if np.sum(start * start) > 0]))
+        starts = traceless_project(np.stack(
+            [_restart_start(config, k)
+             for k in range(first, min(first + batch, config.restarts))]))
+        values, xs, batch_outcomes = ascend(
+            config, starts[np.einsum("raij,raij->r", starts, starts) > 0])
         outcomes += batch_outcomes
         for value, x in zip(values, xs):
             # ties within 1e-12 keep the earliest restart for determinism

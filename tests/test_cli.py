@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,10 +92,20 @@ def test_check_non_finite_input(tmp_path, capsys, field):
     p = tmp_path / "non-finite.json"
     write_doc(p, doc)
     out = tmp_path / "report.json"
-    with np.errstate(over="ignore"):
-        assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 1
+    assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("input error: ")
     assert not out.exists()
+
+
+def test_check_overflow_prints_one_error_line(tmp_path, capsys):
+    p = tmp_path / "huge.json"
+    write_doc(p, {"n": 2, "m": 1, "shape_operators": [[[1.5e308, 0.0], [0.0, 1.0]]]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["check", "--input", str(p)]) == 1
+    assert not caught  # numpy's overflow warnings would print on stderr
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
 def test_check_malformed_json(tmp_path):

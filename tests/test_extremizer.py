@@ -3,7 +3,8 @@ import pytest
 
 from ddvv import extremizer as ex
 from ddvv import inequalities as ineq
-from ddvv.matrix_core import conjugate, random_orthogonal, random_traceless_sym
+from ddvv.matrix_core import (conjugate, random_orthogonal, random_traceless_sym,
+                              traceless_project)
 
 
 def cdk_tuple():
@@ -228,4 +229,45 @@ def test_multistart_reaches_the_ceiling_in_few_iterations():
     report = ex.multistart(ex.SearchConfig(n=6, m=6, restarts=8, seed=1))
     for outcome in report.per_restart:
         assert outcome.value == pytest.approx(1.0, abs=1e-9)
-    assert np.median([o.iterations for o in report.per_restart]) <= 50
+    assert np.median([o.iterations for o in report.per_restart]) <= 40
+
+
+@pytest.mark.parametrize("n,m", [(6, 6), (3, 8), (8, 3)])
+def test_ascend_iterates_stay_symmetric_traceless_and_unit(n, m):
+    # candidates are only rescaled, never projected again
+    config = ex.SearchConfig(n=n, m=m, restarts=16, seed=n + 10 * m)
+    starts = traceless_project(np.stack([ex._restart_start(config, k) for k in range(16)]))
+    values, x, _ = ex.ascend(config, starts)
+    np.testing.assert_array_equal(x, np.swapaxes(x, -1, -2))
+    assert np.max(np.abs(np.trace(x, axis1=-2, axis2=-1))) <= 1e-14
+    assert np.max(np.abs(np.sum(x * x, axis=(1, 2, 3)) - 1.0)) <= 1e-14
+    assert np.all(values >= ex.objective(ex.normalize(starts)))
+
+
+def test_gradient_needs_no_traceless_projection():
+    # tr(B_g Q - W_g) = 0 by cyclicity, for traceless tuples or not
+    rng = np.random.default_rng(8)
+    for trial in range(50):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        a = rng.standard_normal((3, m, n, n))
+        b = a + np.swapaxes(a, -1, -2)
+        q, w = ex._products(b)
+        expected = 8.0 * traceless_project(b @ q[:, None] - w)
+        got = ex.gradient(b)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        np.testing.assert_array_equal(got, np.swapaxes(got, -1, -2))
+
+
+def test_multistart_projects_its_starts_as_one_stack(monkeypatch):
+    config = ex.SearchConfig(n=5, m=4, restarts=6, seed=99)
+    seen = []
+
+    def record(config, starts):
+        seen.append(starts)
+        return np.zeros(len(starts)), starts, [ex.RestartOutcome(0.0, 1, "grad_tol")] * len(starts)
+
+    monkeypatch.setattr(ex, "ascend", record)
+    ex.multistart(config)
+    expected = np.stack([traceless_project(ex._restart_start(config, k)) for k in range(6)])
+    assert seen[0].shape == expected.shape
+    assert seen[0].tobytes() == expected.tobytes()  # bit for bit
