@@ -44,8 +44,10 @@ class SearchConfig:
             raise ValueError("need n >= 2 and m >= 1")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
-        if self.step_init <= 0 or not (0 < self.step_shrink < 1):
+        if not (np.isfinite(self.step_init) and self.step_init > 0) or not (0 < self.step_shrink < 1):
             raise ValueError("bad step parameters")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol >= 0):
+            raise ValueError("grad_tol must be finite and >= 0")
 
     def as_dict(self):
         return {
@@ -100,8 +102,11 @@ def _products(mats):
     """Q = sum_b B_b^2 and W_g = sum_b B_b B_g B_b of a (..., m, n, n) stack.
 
     One batched GEMM, (R, mn, n) @ (R, n, mn), gives every product
-    B_g B_b as block (g, b); W_g contracts row block g of it, read as
-    ((j, b), k) without a copy, with [i, (j, b)] = (B_b)_ij.
+    P_gb = B_g B_b as block (g, b) of `prod`.  Two views of existing
+    arrays then give W: row block g of `prod`, read as A_g[(l, b), x] =
+    (P_gb)[l, x], and `cols`, read as V[(l, b), k] = (B_b)[l, k], so that
+    A_g^T V = sum_b P_gb^T B_b = W_g.  `cols` is the only transposed copy
+    of the stack an evaluation makes.
     """
     lead, (m, n) = mats.shape[:-3], mats.shape[-3:-1]
     stack = mats.reshape(-1, m, n, n)
@@ -109,8 +114,13 @@ def _products(mats):
     cols = stack.transpose(0, 2, 1, 3).reshape(-1, n, m * n)  # [B_1 | ... | B_m]
     prod = rows @ cols
     q = cols @ rows
-    w = stack.transpose(0, 2, 3, 1).reshape(-1, 1, n, n * m) @ prod.reshape(-1, m, n * m, n)
+    w = prod.reshape(-1, m, n * m, n).swapaxes(-1, -2) @ cols.reshape(-1, 1, n * m, n)
     return q.reshape(*lead, n, n), w.reshape(mats.shape)
+
+
+def _inner(a, b):
+    """<a, b> of each (m, n, n) tuple of two (..., m, n, n) stacks."""
+    return np.einsum("...aij,...aij->...", a, b)
 
 
 def objective(t, parts=None):
@@ -119,21 +129,21 @@ def objective(t, parts=None):
     Evaluated as 2 (||Q||^2 - sum_g <B_g, W_g>) from `_products`; `parts`
     is that (Q, W) of `t` when already computed.  A (..., m, n, n) stack
     gives an array of values, one tuple a float.  The difference cancels:
-    its absolute error is about rounding times ||B||^4, so near a commuting
-    tuple the value can come out slightly negative.  The invariants and the
-    checks use the commutator stack of `matrix_core.commutators_and_gram`.
+    its absolute error is about rounding times ||B||^4.  A sum of squares
+    is never negative, so the value is clamped at 0; near a commuting tuple
+    it is still only accurate to that absolute error.  The invariants and
+    the checks use the commutator stack of `matrix_core.commutators_and_gram`.
     """
     mats = _stack(t)
     q, w = _products(mats) if parts is None else parts
-    value = 2.0 * (np.einsum("...ij,...ij->...", q, q)
-                   - np.einsum("...aij,...aij->...", mats, w))
+    value = np.maximum(2.0 * (np.einsum("...ij,...ij->...", q, q) - _inner(mats, w)), 0.0)
     return float(value) if mats.ndim == 3 else value
 
 
 def normalize(t):
     """Traceless-project and scale each tuple so its total squared norm is 1."""
     mats = traceless_project(_stack(t))
-    total = np.sum(mats * mats, axis=(-3, -2, -1), keepdims=True)
+    total = _inner(mats, mats)[..., None, None, None]
     if np.any(total <= 0):
         raise ValueError("cannot normalize a zero tuple")
     return mats / np.sqrt(total)
@@ -144,35 +154,42 @@ def gradient(t, parts=None):
 
     dF/dB_g = 4 sum_b [[B_g, B_b], B_b] = 4 (B_g Q + Q B_g - 2 W_g), which
     is 4 (G_g + G_g^T) with G_g = B_g Q - W_g, as B_g, Q and W_g are
-    symmetric; one batched GEMM gives every B_g Q.  The result is exactly
-    symmetric and needs no traceless projection: by cyclicity
+    symmetric; one batched GEMM gives every B_g Q.  G is assembled in the
+    output of that GEMM, then G^T is added from a contiguous copy (faster
+    than an overlapping in-place add or a new sum array); since
+    g_ij + g_ji is g_ji + g_ij bit for bit, the result is exactly
+    symmetric.  It needs no traceless projection: by cyclicity
     tr W_g = sum_b tr(B_b B_g B_b) = sum_b tr(B_g B_b^2) = tr(B_g Q), so
     tr G_g = 0 for every symmetric tuple, traceless or not.
-    `parts` as in `objective`.
+    `parts` as in `objective`; the result is a new array.
     """
     mats = _stack(t)
     q, w = _products(mats) if parts is None else parts
     m, n = mats.shape[-3:-1]
-    rows = mats.reshape(-1, m * n, n) @ q.reshape(-1, n, n)  # [B_1 Q; ...; B_m Q]
-    g = rows.reshape(mats.shape) - w
-    g = g + np.swapaxes(g, -1, -2)
+    g = (mats.reshape(-1, m * n, n) @ q.reshape(-1, n, n)).reshape(mats.shape)  # [B_g Q]
+    g -= w
+    g += np.swapaxes(g, -1, -2).copy()
     g *= 4.0
     return g
 
 
 def riemannian_gradient(t, parts=None):
-    """Tangential component of the gradient on the unit sphere, per tuple."""
+    """Tangential component of the gradient on the unit sphere, per tuple.
+
+    The radial part <g, x> x is removed in place from the array `gradient`
+    returns; on an exactly symmetric x the result stays exactly symmetric.
+    """
     mats = _stack(t)
     grad = gradient(mats, parts)
-    radial = np.einsum("...aij,...aij->...", grad, mats)[..., None, None, None]
-    return grad - radial * mats
+    grad -= _inner(grad, mats)[..., None, None, None] * mats
+    return grad
 
 
 def _evaluate(mats):
     """Value, Riemannian gradient g and |g|^2 of each tuple of an (R, m, n, n) stack."""
     parts = _products(mats)
     value, g = objective(mats, parts), riemannian_gradient(mats, parts)
-    return value, g, np.einsum("raij,raij->r", g, g)
+    return value, g, _inner(g, g)
 
 
 def ascend(config: SearchConfig, start):
@@ -193,9 +210,11 @@ def ascend(config: SearchConfig, start):
     Riemannian gradient of one candidate per live restart in one batched
     kernel call, and a restart whose candidate was accepted starts its next
     iteration from that gradient in the next pass.  A backtracking restart
-    therefore never holds up the others.  A candidate x + t g is symmetric
-    and traceless to rounding, so it is only rescaled to the sphere, not
-    projected again.
+    therefore never holds up the others.  A rejected candidate is replaced
+    by its restart's iterate, and a stopped restart leaves the working
+    stack, so a pass copies rows only for these.  A candidate x + t g is
+    symmetric and traceless to rounding, so it is only rescaled to the
+    sphere, not projected again.
 
     Returns (values, tuples, outcomes): for one start a float, an
     (m, n, n) array and a RestartOutcome; for a stack an (R,) array, an
@@ -207,6 +226,10 @@ def ascend(config: SearchConfig, start):
         x = x[None]
     value, rgrad, gain = _evaluate(x)
     r = len(x)
+    # the working arrays hold the running restarts only; `row` maps them back
+    row = np.arange(r)
+    final_value, final_x = np.empty(r), np.empty_like(x)
+    final_iters, final_stop = np.empty(r, dtype=int), np.empty(r, dtype=int)
     step = np.full(r, config.step_init)  # the next step each restart tries
     iters = np.ones(r, dtype=int)
     stop = np.where(np.sqrt(gain) <= config.grad_tol, GRAD_TOL, RUNNING)
@@ -214,33 +237,38 @@ def ascend(config: SearchConfig, start):
     while True:
         stalled = (step * gain <= floor * np.maximum(1.0, np.abs(value))) | (step <= MIN_STEP)
         stop[(stop == RUNNING) & stalled] = LINE_SEARCH
-        live = np.flatnonzero(stop == RUNNING)
-        if not live.size:
-            break
+        done = stop != RUNNING
+        if done.any():  # retire the stopped restarts from the working arrays
+            k = row[done]
+            final_value[k], final_x[k] = value[done], x[done]
+            final_iters[k], final_stop[k] = iters[done], stop[done]
+            if done.all():
+                break
+            keep = ~done
+            row, x, value, rgrad, gain = row[keep], x[keep], value[keep], rgrad[keep], gain[keep]
+            step, iters, stop = step[keep], iters[keep], stop[keep]
         # x + t g stays symmetric and traceless up to rounding: rescale only
-        cand = (x + step[:, None, None, None] * rgrad if live.size == r
-                else x[live] + step[live, None, None, None] * rgrad[live])
-        cand /= np.sqrt(np.sum(cand * cand, axis=(1, 2, 3), keepdims=True))  # as `normalize`
+        cand = step[:, None, None, None] * rgrad
+        cand += x
+        cand /= np.sqrt(_inner(cand, cand))[:, None, None, None]  # as `normalize`
         cand_value, cand_rgrad, cand_gain = _evaluate(cand)
-        up = cand_value >= value[live] + ARMIJO_SIGMA * step[live] * gain[live]
-        acc = live[up]
-        if acc.size == r:  # every restart accepted: take the candidates whole
-            x, value, rgrad, gain = cand, cand_value, cand_rgrad, cand_gain
-        else:
-            x[acc], value[acc] = cand[up], cand_value[up]
-            rgrad[acc], gain[acc] = cand_rgrad[up], cand_gain[up]
-        step[acc] *= STEP_GROWTH
-        step[live[~up]] *= config.step_shrink
-        out_of_iters = iters[acc] >= config.max_iters
-        stop[acc[out_of_iters]] = MAX_ITERS
-        moved = acc[~out_of_iters]  # these start a new iteration
-        iters[moved] += 1
-        stop[moved[np.sqrt(gain[moved]) <= config.grad_tol]] = GRAD_TOL
+        up = cand_value >= value + ARMIJO_SIGMA * step * gain
+        step *= np.where(up, STEP_GROWTH, config.step_shrink)
+        down = ~up
+        if down.any():  # a rejected restart keeps its iterate
+            cand[down], cand_value[down] = x[down], value[down]
+            cand_rgrad[down], cand_gain[down] = rgrad[down], gain[down]
+        x, value, rgrad, gain = cand, cand_value, cand_rgrad, cand_gain
+        out_of_iters = iters >= config.max_iters
+        stop[up & out_of_iters] = MAX_ITERS
+        moved = up & ~out_of_iters  # these start a new iteration
+        iters += moved
+        stop[moved & (np.sqrt(gain) <= config.grad_tol)] = GRAD_TOL
     outcomes = [RestartOutcome(value=float(v), iterations=int(k), stop_reason=STOP_REASONS[s])
-                for v, k, s in zip(value, iters, stop)]
+                for v, k, s in zip(final_value, final_iters, final_stop)]
     if single:
-        return float(value[0]), x[0], outcomes[0]
-    return value, x, outcomes
+        return float(final_value[0]), final_x[0], outcomes[0]
+    return final_value, final_x, outcomes
 
 
 def _restart_start(config: SearchConfig, index: int):
@@ -276,7 +304,7 @@ def multistart(config: SearchConfig) -> SearchReport:
             [_restart_start(config, k)
              for k in range(first, min(first + batch, config.restarts))]))
         values, xs, batch_outcomes = ascend(
-            config, starts[np.einsum("raij,raij->r", starts, starts) > 0])
+            config, starts[_inner(starts, starts) > 0])
         outcomes += batch_outcomes
         for value, x in zip(values, xs):
             # ties within 1e-12 keep the earliest restart for determinism

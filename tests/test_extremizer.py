@@ -126,6 +126,13 @@ def test_search_config_validation():
         ex.SearchConfig(n=2, m=2, restarts=0)
     with pytest.raises(ValueError):
         ex.SearchConfig(n=2, m=2, step_shrink=1.5)
+    # a NaN or infinite step_init never accepts a candidate and no stop rule fires
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError):
+            ex.SearchConfig(n=3, m=2, step_init=bad)
+        with pytest.raises(ValueError):
+            ex.SearchConfig(n=3, m=2, grad_tol=bad)
+    assert ex.SearchConfig(n=3, m=2, grad_tol=0.0).grad_tol == 0.0
 
 
 def test_stop_reasons():
@@ -271,3 +278,80 @@ def test_multistart_projects_its_starts_as_one_stack(monkeypatch):
     expected = np.stack([traceless_project(ex._restart_start(config, k)) for k in range(6)])
     assert seen[0].shape == expected.shape
     assert seen[0].tobytes() == expected.tobytes()  # bit for bit
+
+
+def test_objective_is_never_negative():
+    # 2 (||Q||^2 - sum <B_g, W_g>) cancels to about -1e-13 on commuting tuples
+    rng = np.random.default_rng(0)
+    diag = np.zeros((1000, 3, 4, 4))
+    idx = np.arange(4)
+    diag[..., idx, idx] = rng.standard_normal((1000, 3, 4))
+    values = ex.objective(diag)
+    assert values.shape == (1000,) and np.all(values >= 0.0)
+    assert np.max(values) <= 1e-12
+    assert all(ex.objective(t) >= 0.0 for t in diag[:20])
+
+
+def test_single_matrix_search_reports_no_negative_values():
+    report = ex.multistart(ex.SearchConfig(n=4, m=1, restarts=3))
+    values = [o.value for o in report.per_restart] + [report.best_value]
+    assert all(0.0 <= v <= 1e-15 for v in values), values
+
+
+def _symmetric(rng, shape):
+    a = rng.standard_normal(shape)
+    return a + np.swapaxes(a, -1, -2)
+
+
+def _products_loop(t):
+    q = sum(b @ b for b in t)
+    w = np.stack([sum(b @ bg @ b for b in t) for bg in t])
+    return q, w
+
+
+def _assert_products_match_loop(mats):
+    q, w = ex._products(mats)
+    lead = mats.shape[:-3]
+    assert q.shape == lead + mats.shape[-2:] and w.shape == mats.shape
+    for idx in np.ndindex(*lead):
+        q_ref, w_ref = _products_loop(mats[idx])
+        assert np.max(np.abs(q[idx] - q_ref)) <= 1e-13 * np.max(np.abs(q_ref))
+        assert np.max(np.abs(w[idx] - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (1, 5), (2, 2), (5, 2), (3, 8), (8, 3), (6, 6)])
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
+def test_products_match_a_per_matrix_loop(m, n, lead):
+    rng = np.random.default_rng(100 * m + 10 * n + len(lead))
+    _assert_products_match_loop(_symmetric(rng, lead + (m, n, n)))
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 8), (8, 3), (6, 6)])
+def test_products_of_strided_and_fortran_stacks(m, n):
+    rng = np.random.default_rng(m + n)
+    stack = _symmetric(rng, (6, m, n, n))
+    strided = stack[::2]
+    assert not strided.flags.c_contiguous
+    _assert_products_match_loop(strided)
+    fortran = np.asfortranarray(stack)
+    assert not fortran.flags.c_contiguous
+    _assert_products_match_loop(fortran)
+    q_c, w_c = ex._products(stack)
+    q_f, w_f = ex._products(fortran)
+    np.testing.assert_array_equal(q_f, q_c)
+    np.testing.assert_array_equal(w_f, w_c)
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (3, 3), (6, 6), (3, 8), (8, 3)])
+def test_evaluate_matches_the_kernels_tuple_by_tuple(m, n):
+    rng = np.random.default_rng(7 * m + n)
+    x = ex.normalize(_symmetric(rng, (9, m, n, n)))
+    value, g, gain = ex._evaluate(x)
+    assert value.shape == gain.shape == (9,) and g.shape == x.shape
+    np.testing.assert_array_equal(g, np.swapaxes(g, -1, -2))
+    assert np.max(np.abs(np.einsum("raij,raij->r", g, x))) <= 1e-14
+    for k, t in enumerate(x):
+        assert value[k] == pytest.approx(ex.objective(t), rel=1e-14, abs=1e-15)
+        rg = ex.riemannian_gradient(t)
+        np.testing.assert_allclose(g[k], rg, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(rg))))
+        assert gain[k] == pytest.approx(np.sum(g[k] * g[k]), rel=1e-13, abs=1e-30)
