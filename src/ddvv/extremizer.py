@@ -9,6 +9,7 @@ The restarts of a search advance together as one (R, m, n, n) stack.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -28,6 +29,16 @@ FLOOR_ULPS = 8.0  # stop once t |g|^2 <= FLOOR_ULPS eps max(1, |f|), the roundin
 BATCH_ENTRIES = 2**22  # entries of the block products of one batch of restarts
 
 
+def _integer(name, value):
+    """`value` as an int; numpy integers pass, bool and non-integers do not."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     n: int
@@ -40,6 +51,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "m", "restarts", "max_iters", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 2 or self.m < 1:
             raise ValueError("need n >= 2 and m >= 1")
         if self.restarts < 1 or self.max_iters < 1:
@@ -119,20 +132,27 @@ def _products(mats):
 
 
 def _inner(a, b):
-    """<a, b> of each (m, n, n) tuple of two (..., m, n, n) stacks."""
-    return np.einsum("...aij,...aij->...", a, b)
+    """<a, b> of each (m, n, n) tuple of two (..., m, n, n) stacks.
+
+    Each tuple takes one BLAS dot product, (1, K) @ (K, 1), the idiom of
+    `matrix_core.sum_sq`.
+    """
+    lead = a.shape[:-3]
+    return (a.reshape(*lead, 1, -1) @ b.reshape(*lead, -1, 1))[..., 0, 0]
 
 
 def objective(t, parts=None):
-    """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2, for the ascent only.
+    """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2 of one tuple or a stack.
 
     Evaluated as 2 (||Q||^2 - sum_g <B_g, W_g>) from `_products`; `parts`
-    is that (Q, W) of `t` when already computed.  A (..., m, n, n) stack
-    gives an array of values, one tuple a float.  The difference cancels:
-    its absolute error is about rounding times ||B||^4.  A sum of squares
-    is never negative, so the value is clamped at 0; near a commuting tuple
-    it is still only accurate to that absolute error.  The invariants and
-    the checks use the commutator stack of `matrix_core.commutators_and_gram`.
+    is that (Q, W) of `t` when already computed.  It serves one-tuple
+    callers and the tests; the ascent reads its values off the gradient
+    instead (`_evaluate`).  A (..., m, n, n) stack gives an array of
+    values, one tuple a float.  The difference cancels: its absolute error
+    is about rounding times ||B||^4.  A sum of squares is never negative,
+    so the value is clamped at 0; near a commuting tuple it is still only
+    accurate to that absolute error.  The invariants and the checks use
+    the commutator stack of `matrix_core.commutators_and_gram`.
     """
     mats = _stack(t)
     q, w = _products(mats) if parts is None else parts
@@ -186,10 +206,19 @@ def riemannian_gradient(t, parts=None):
 
 
 def _evaluate(mats):
-    """Value, Riemannian gradient g and |g|^2 of each tuple of an (R, m, n, n) stack."""
-    parts = _products(mats)
-    value, g = objective(mats, parts), riemannian_gradient(mats, parts)
-    return value, g, _inner(g, g)
+    """Value, Riemannian gradient g and |g|^2 of each tuple of an (R, m, n, n) stack.
+
+    The objective is homogeneous of degree 4, so Euler's identity
+    <grad F(x), x> = 4 F(x) gives the value from the radial part <g, x>
+    that the projection onto the sphere computes anyway; no separate
+    `objective` contraction is made.  The projection g -= <g, x> x is that
+    of `riemannian_gradient` bit for bit, and the value is clamped at 0 as
+    in `objective`.
+    """
+    g = gradient(mats)
+    radial = _inner(g, mats)
+    g -= radial[:, None, None, None] * mats
+    return np.maximum(radial / 4.0, 0.0), g, _inner(g, g)
 
 
 def ascend(config: SearchConfig, start):
@@ -208,11 +237,14 @@ def ascend(config: SearchConfig, start):
 
     The restarts advance together: each pass evaluates the value and the
     Riemannian gradient of one candidate per live restart in one batched
-    kernel call, and a restart whose candidate was accepted starts its next
-    iteration from that gradient in the next pass.  A backtracking restart
-    therefore never holds up the others.  A rejected candidate is replaced
-    by its restart's iterate, and a stopped restart leaves the working
-    stack, so a pass copies rows only for these.  A candidate x + t g is
+    kernel call (`_evaluate`, which takes the value from the radial part
+    of the gradient by Euler's identity), and a restart whose candidate
+    was accepted starts its next iteration from that gradient in the next
+    pass.  A backtracking restart therefore never holds up the others.  A
+    rejected candidate is replaced by its restart's iterate (a boolean row
+    gather and scatter, which copies only those rows), and a stopped
+    restart leaves the working stack, so a pass copies rows only for
+    these.  A candidate x + t g is
     symmetric and traceless to rounding, so it is only rescaled to the
     sphere, not projected again.
 

@@ -355,3 +355,36 @@ def test_evaluate_matches_the_kernels_tuple_by_tuple(m, n):
         rg = ex.riemannian_gradient(t)
         np.testing.assert_allclose(g[k], rg, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(rg))))
         assert gain[k] == pytest.approx(np.sum(g[k] * g[k]), rel=1e-13, abs=1e-30)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("n", 2.5), ("m", 2.0), ("restarts", 2.0), ("max_iters", 2.5), ("seed", 1.5),
+    ("n", True), ("restarts", np.True_), ("seed", "1"), ("max_iters", np.float64(3.0)),
+])
+def test_search_config_rejects_non_integer_sizes(field, bad):
+    # these used to pass: multistart then raised TypeError, and max_iters=2.5 ran 3 iterations
+    with pytest.raises(ValueError, match=field):
+        ex.SearchConfig(**{"n": 3, "m": 2, field: bad})
+
+
+def test_search_config_takes_numpy_integers_as_int():
+    config = ex.SearchConfig(n=np.int64(3), m=np.int32(2), restarts=np.uint8(4),
+                             max_iters=np.int16(50), seed=np.int64(-5))
+    assert all(type(v) is int for k, v in config.as_dict().items()
+               if k in ("n", "m", "restarts", "max_iters", "seed"))
+    plain = ex.SearchConfig(n=3, m=2, restarts=4, max_iters=50, seed=-5)
+    assert config == plain
+    assert ex.multistart(config).per_restart == ex.multistart(plain).per_restart
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (1, 5), (2, 2), (3, 5), (5, 3), (6, 6), (8, 8)])
+@pytest.mark.parametrize("traceless", [True, False])
+def test_euler_identity_of_the_gradient(m, n, traceless):
+    # F is a quartic form, so <grad F(t), t> = 4 F(t); the ascent reads its value off this
+    rng = np.random.default_rng(10 * m + n + traceless)
+    for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        t = scale * _symmetric(rng, (m, n, n))
+        if traceless:
+            t = traceless_project(t)
+        norm4 = np.sum(t * t) ** 2
+        assert abs(np.sum(ex.gradient(t) * t) - 4.0 * ex.objective(t)) <= 1e-13 * norm4
