@@ -141,13 +141,13 @@ def _inner(a, b):
     return (a.reshape(*lead, 1, -1) @ b.reshape(*lead, -1, 1))[..., 0, 0]
 
 
-def objective(t, parts=None):
+def objective(t):
     """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2 of one tuple or a stack.
 
-    Evaluated as 2 (||Q||^2 - sum_g <B_g, W_g>) from `_products`; `parts`
-    is that (Q, W) of `t` when already computed.  It serves one-tuple
-    callers and the tests; the ascent reads its values off the gradient
-    instead (`_evaluate`).  A (..., m, n, n) stack gives an array of
+    Evaluated as 2 (||Q||^2 - sum_g <B_g, W_g>) from `_products`.  The
+    ascent does not call it: `_evaluate` reads the value off the gradient.
+    It and `riemannian_gradient` are the reference kernels that the tests
+    compare `_evaluate` against.  A (..., m, n, n) stack gives an array of
     values, one tuple a float.  The difference cancels: its absolute error
     is about rounding times ||B||^4.  A sum of squares is never negative,
     so the value is clamped at 0; near a commuting tuple it is still only
@@ -155,7 +155,7 @@ def objective(t, parts=None):
     the commutator stack of `matrix_core.commutators_and_gram`.
     """
     mats = _stack(t)
-    q, w = _products(mats) if parts is None else parts
+    q, w = _products(mats)
     value = np.maximum(2.0 * (np.einsum("...ij,...ij->...", q, q) - _inner(mats, w)), 0.0)
     return float(value) if mats.ndim == 3 else value
 
@@ -169,7 +169,7 @@ def normalize(t):
     return mats / np.sqrt(total)
 
 
-def gradient(t, parts=None):
+def gradient(t):
     """Euclidean gradient of the objective on the traceless symmetric space.
 
     dF/dB_g = 4 sum_b [[B_g, B_b], B_b] = 4 (B_g Q + Q B_g - 2 W_g), which
@@ -181,10 +181,10 @@ def gradient(t, parts=None):
     symmetric.  It needs no traceless projection: by cyclicity
     tr W_g = sum_b tr(B_b B_g B_b) = sum_b tr(B_g B_b^2) = tr(B_g Q), so
     tr G_g = 0 for every symmetric tuple, traceless or not.
-    `parts` as in `objective`; the result is a new array.
+    The result is a new array.
     """
     mats = _stack(t)
-    q, w = _products(mats) if parts is None else parts
+    q, w = _products(mats)
     m, n = mats.shape[-3:-1]
     g = (mats.reshape(-1, m * n, n) @ q.reshape(-1, n, n)).reshape(mats.shape)  # [B_g Q]
     g -= w
@@ -193,14 +193,14 @@ def gradient(t, parts=None):
     return g
 
 
-def riemannian_gradient(t, parts=None):
+def riemannian_gradient(t):
     """Tangential component of the gradient on the unit sphere, per tuple.
 
     The radial part <g, x> x is removed in place from the array `gradient`
     returns; on an exactly symmetric x the result stays exactly symmetric.
     """
     mats = _stack(t)
-    grad = gradient(mats, parts)
+    grad = gradient(mats)
     grad -= _inner(grad, mats)[..., None, None, None] * mats
     return grad
 

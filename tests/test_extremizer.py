@@ -363,7 +363,7 @@ def test_evaluate_matches_the_kernels_tuple_by_tuple(m, n):
 ])
 def test_search_config_rejects_non_integer_sizes(field, bad):
     # these used to pass: multistart then raised TypeError, and max_iters=2.5 ran 3 iterations
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
         ex.SearchConfig(**{"n": 3, "m": 2, field: bad})
 
 
