@@ -8,9 +8,10 @@ are the machine contract: 0 success, 1 input error, 2 failed checks,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import math
+import operator
 import re
 import sys
 import time
@@ -18,10 +19,12 @@ from itertools import chain
 
 import numpy as np
 
-from . import __version__, curvature, extremizer, inequalities, lagrangian
+from . import __version__, curvature, inequalities, lagrangian
 from .curvature import ShapeOperatorSet
-from .fuzz import run_fuzz
 from .matrix_core import AsymmetricMatrixError
+
+# extremizer, fuzz and csv are imported by the commands that use them, so
+# that a `check` loads none of them
 
 
 _NUMBER = {int, float}  # the types json gives a number
@@ -34,7 +37,7 @@ def read_input_document(path):
     JSON numbers: a string, a boolean or null is malformed, though Python
     or numpy would convert it.
     """
-    with open(path, "rb") as f:  # json.loads decodes UTF-8 bytes faster than a text read
+    with open(path, "rb", buffering=0) as f:  # json.loads decodes the UTF-8 bytes
         doc = json.loads(f.read())
     try:
         n, m, mats = doc["n"], doc["m"], doc["shape_operators"]
@@ -57,12 +60,14 @@ def read_input_document(path):
     return ShapeOperatorSet(arr, ambient_c=c), doc.get("label")
 
 
-def shape_set_to_document(s, label=None):
+def shape_set_to_document(s, label=None, *, lists=True):
+    """The input document of `s`; with lists=False the operators stay the
+    float64 array, which `write_json` writes as its lists."""
     doc = {
         "n": s.n,
         "m": s.m,
         "ambient_c": s.ambient_c,
-        "shape_operators": s.ops.tolist(),
+        "shape_operators": s.ops.tolist() if lists else s.ops,
     }
     if label is not None:
         doc["label"] = label
@@ -70,12 +75,12 @@ def shape_set_to_document(s, label=None):
 
 
 def _json_text(obj, indent=""):
-    """The text of json.dumps(obj, indent=2) for a value nested at `indent`.
+    """The text of json.dumps(obj, indent=2) for a value nested at `indent`,
+    with every numpy array taken as its tolist().
 
-    For indented output json runs its pure-Python encoder, which spends most
-    of a report on its rows of floats; here each row is one join at C speed.
-    Whatever this does not cover (a non-str key, a subclass of a JSON type,
-    a type that json rejects) goes through json itself.
+    A row of floats is one join of their reprs.  Whatever this does not
+    cover (a non-str key, a subclass of a JSON type, a type that json
+    rejects) goes through json itself.
     """
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
@@ -99,7 +104,47 @@ def _json_text(obj, indent=""):
             return "{}"
         body = sep.join([f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
-    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+    if isinstance(obj, np.ndarray):
+        return _json_array(obj, indent)
+    # arrays nested here go as their lists; anything else json rejects raises TypeError
+    return json.dumps(obj, indent=2, default=np.ndarray.tolist).replace("\n", "\n" + indent)
+
+
+def _json_array(arr, indent):
+    """The text of json.dumps(arr.tolist(), indent=2) for an array nested at `indent`.
+
+    A float64 stack of square matrices that equals its transpose bit for bit
+    (a 0.0 mirrored by -0.0 does not) is written from its upper triangles,
+    one repr per distinct entry; any other array goes through its rows.
+    """
+    if arr.dtype == np.float64 and arr.ndim >= 2 and arr.size and arr.shape[-1] == arr.shape[-2]:
+        bits = arr.view(np.int64)
+        if (bits == bits.swapaxes(-1, -2)).all():
+            triangles, entries, template = _symmetric_layout(arr.shape, indent)
+            reprs = map(float.__repr__, arr.take(triangles).tolist())
+            return _json_floats(template % entries(list(reprs)))
+    return _json_text(arr.tolist(), indent)
+
+
+@functools.lru_cache(maxsize=32)
+def _symmetric_layout(shape, indent):
+    """How `_json_array` writes a symmetric stack of `shape` at `indent`.
+
+    Returns the flat indices of the upper triangles (i <= j) of the stack's
+    matrices, in order; a getter that takes the list of their reprs to the
+    n^2 entries of each matrix in row order; and the text of the stack with
+    a %s for every entry.
+    """
+    n, count = shape[-1], math.prod(shape[:-2])
+    iu, ju = np.triu_indices(n)
+    slot = np.empty((n, n), dtype=np.intp)  # entry (i, j) of a matrix: its triangle slot
+    slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
+    matrix = np.arange(count)[:, None]
+    triangles = (matrix * (n * n) + iu * n + ju).ravel()
+    triangles.setflags(write=False)  # shared by every call through the cache
+    entries = operator.itemgetter(*(matrix * iu.size + slot.ravel()).ravel().tolist())
+    template = _json_text(np.full(shape, "%s", dtype=object).tolist(), indent)
+    return triangles, entries, template.replace('"%s"', "%s")
 
 
 def _json_floats(text):
@@ -122,15 +167,19 @@ _LEAVES = {
 
 
 def write_json(doc, path):
-    """Write `doc` as json.dump(doc, f, indent=2) does, plus a newline, in one write."""
+    """Write `doc` as json.dump(doc, f, indent=2) does, with every numpy array
+    as its tolist(), plus a newline, in one unbuffered write."""
     if path is None:
         return
-    text = _json_text(doc) + "\n"
-    with open(path, "wb") as f:  # the text is ASCII, as json's is
-        f.write(text.encode())
+    data = memoryview((_json_text(doc) + "\n").encode())  # ASCII, as json's text is
+    with open(path, "wb", buffering=0) as f:
+        while data:  # a raw write may take only part of the data
+            data = data[f.write(data):]
 
 
 def write_csv(checks, path):
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["label", "lhs", "rhs", "holds", "equality"])
@@ -147,11 +196,14 @@ def _report_skeleton(seed=None):
     }
 
 
-def _print_checks(checks, width):
-    """One line per check; the exit code 0 if all hold, else 2."""
+def _print_checks(checks, width, tail=""):
+    """One line per check, then `tail`, in one write; the exit code 0 if all
+    hold, else 2."""
+    lines = []
     for c in checks:
         flag = "equality" if c.equality else ("ok" if c.holds else "FAIL")
-        print(f"{c.label:{width}s} lhs={c.lhs:+.12e} rhs={c.rhs:+.12e} [{flag}]")
+        lines.append(f"{c.label:{width}s} lhs={c.lhs:+.12e} rhs={c.rhs:+.12e} [{flag}]\n")
+    sys.stdout.write("".join(lines) + tail)
     return 0 if all(c.holds for c in checks) else 2
 
 
@@ -165,7 +217,7 @@ def cmd_check(args):
     lagr = lagrangian.lagrangian_symmetry_check(s, args.tol) if s.m == s.n else None
     report = _report_skeleton()
     report.update({
-        "input": shape_set_to_document(s, label),
+        "input": shape_set_to_document(s, label, lists=False),
         "invariants": inv.as_dict(),
         "checks": [c.as_dict() for c in checks],
         "lagrangian_symmetry": lagr,
@@ -173,12 +225,12 @@ def cmd_check(args):
     write_json(report, args.output)
     if args.csv:
         write_csv(checks, args.csv)
-    code = _print_checks(checks, 12)
-    print(f"slack = {inv.slack:.12e}")
-    return code
+    return _print_checks(checks, 12, f"slack = {inv.slack:.12e}\n")
 
 
 def cmd_search(args):
+    from . import extremizer
+
     try:
         config = extremizer.SearchConfig(
             n=args.n, m=args.m, restarts=args.restarts,
@@ -258,7 +310,7 @@ def cmd_family(args):
         return 1
     report = _report_skeleton()
     report.update({
-        "input": shape_set_to_document(s, label=args.family),
+        "input": shape_set_to_document(s, label=args.family, lists=False),
         "invariants": inv.as_dict(),
         "closed_forms": closed_forms(p, inv),
         "checks": [c.as_dict() for c in checks],
@@ -268,6 +320,8 @@ def cmd_family(args):
 
 
 def cmd_fuzz(args):
+    from .fuzz import run_fuzz
+
     try:
         summary = run_fuzz(args.n, args.m, args.samples, args.seed, tol=args.tol)
     except ValueError as e:

@@ -15,7 +15,7 @@ an assumption made here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,7 +121,8 @@ class CurvatureInvariants:
     gram: np.ndarray = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return {"rho": self.rho, "rho_perp": self.rho_perp, "h_sq": self.h_sq,
+                "b_sq": self.b_sq, "slack": self.slack, "ambient_c": self.ambient_c}
 
 
 def traceless_parts(s: ShapeOperatorSet) -> MatrixTuple:

@@ -175,8 +175,7 @@ def gradient(t):
     dF/dB_g = 4 sum_b [[B_g, B_b], B_b] = 4 (B_g Q + Q B_g - 2 W_g), which
     is 4 (G_g + G_g^T) with G_g = B_g Q - W_g, as B_g, Q and W_g are
     symmetric; one batched GEMM gives every B_g Q.  G is assembled in the
-    output of that GEMM, then G^T is added from a contiguous copy (faster
-    than an overlapping in-place add or a new sum array); since
+    output of that GEMM, then G^T is added from a contiguous copy; since
     g_ij + g_ji is g_ji + g_ij bit for bit, the result is exactly
     symmetric.  It needs no traceless projection: by cyclicity
     tr W_g = sum_b tr(B_b B_g B_b) = sum_b tr(B_g B_b^2) = tr(B_g Q), so

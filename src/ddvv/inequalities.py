@@ -10,6 +10,7 @@ axes, gives a CheckResult of arrays; one point gives Python floats and bools.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,7 @@ def _lili_sides(comm_sq, gram, tol):
     return _result(comm_sq + sum_sq(gram, 2), 1.5 * trace**2, tol, "li-li")
 
 
+@functools.cache
 def weak_constant_m(m: int) -> float:
     """Codimension-based constant sqrt((2m - 1) / (3m - 3))."""
     if m < 2:
@@ -156,6 +158,7 @@ def weak_constant_m(m: int) -> float:
     return float(np.sqrt((2 * m - 1) / (3 * m - 3)))
 
 
+@functools.cache
 def weak_constant_n(n: int) -> float:
     """Dimension-based constant sqrt((2/3) (n^2 + n - 3) / (n^2 + n - 4)).
 

@@ -98,8 +98,7 @@ def traceless_project(a):
     out = a + np.swapaxes(a, -1, -2)
     out *= 0.5
     diag = np.einsum("...ii->...i", out)  # a writable view
-    # both passes run on a contiguous copy of the diagonal, which is faster
-    # than reducing and updating the strided view twice
+    # both passes run on a contiguous copy of the diagonal, written back once
     d = diag - np.einsum("...i->...", diag)[..., None] / n
     d -= np.einsum("...i->...", d)[..., None] / n
     diag[...] = d

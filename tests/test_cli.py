@@ -366,3 +366,93 @@ json_trees = st.recursive(
 @given(json_trees)
 def test_report_text_is_json_dumps_indent_2(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+def _lists(obj):
+    """`obj` with every numpy array replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_lists(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    return obj
+
+
+# values whose reprs take each form: subnormal, extreme, exponent, integral
+edge_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e16, 1e-05, 0.1, 1.0, -3.0, 2.0**53, float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def float_arrays(draw):
+    """float64 arrays (m, n, n), (n, n) or (m, n), with m <= 4 and 2 <= n <= 8.
+
+    A drawn flag mirrors each stack's upper triangle into its lower one, so
+    the stack is bitwise symmetric; another then mirrors one 0.0 by -0.0.
+    """
+    m, n = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+    shape = draw(st.sampled_from([(m, n, n), (n, n), (m, n)]))
+    elements = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | edge_floats
+    flat = draw(st.lists(elements, min_size=math.prod(shape), max_size=math.prod(shape)))
+    arr = np.array(flat, dtype=np.float64).reshape(shape)
+    if shape[-1] == shape[-2] and draw(st.booleans()):
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        arr = np.where(upper, arr, np.swapaxes(arr, -1, -2))
+        if draw(st.booleans()):
+            i, j = draw(st.sampled_from(list(zip(*np.triu_indices(n, k=1)))))
+            arr[..., i, j], arr[..., j, i] = 0.0, -0.0
+    return arr
+
+
+json_trees_with_arrays = st.recursive(
+    json_leaves | float_arrays(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)
+                      | st.dictionaries(st.integers(), children)),
+    max_leaves=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_trees_with_arrays)
+def test_report_text_of_arrays_is_json_dumps_of_their_lists(obj):
+    assert cli._json_text(obj) == json.dumps(_lists(obj), indent=2)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (4, 4), (1, 2, 2)])
+@pytest.mark.parametrize("zeros", [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)])
+def test_report_text_of_mirrored_zeros(shape, zeros):
+    g = np.random.default_rng(5).standard_normal(shape)
+    arr = g + np.swapaxes(g, -1, -2)
+    arr[..., 0, 1], arr[..., 1, 0] = zeros
+    doc = {"input": {"shape_operators": arr}}
+    assert cli._json_text(doc) == json.dumps(_lists(doc), indent=2)
+
+
+def test_check_stdout_is_one_line_per_check_then_the_slack(tmp_path, capsys):
+    p = tmp_path / "cdk.json"
+    write_doc(p, cdk_doc())
+    assert cli.main(["check", "--input", str(p)]) == 0
+    assert capsys.readouterr().out == (
+        "ddvv         lhs=+1.000000000000e+00 rhs=+1.000000000000e+00 [equality]\n"
+        "chen         lhs=-5.000000000000e-01 rhs=+0.000000000000e+00 [ok]\n"
+        "weak-codim   lhs=-5.000000000000e-01 rhs=-5.000000000000e-01 [equality]\n"
+        "weak-dim     lhs=-5.000000000000e-01 rhs=-5.000000000000e-01 [equality]\n"
+        "li-li        lhs=+1.500000000000e+00 rhs=+1.500000000000e+00 [equality]\n"
+        "slack = 0.000000000000e+00\n")
+
+
+def test_check_report_echoes_the_input_lists(tmp_path):
+    doc = random_doc(4)
+    doc["shape_operators"][0][0][1] = doc["shape_operators"][0][1][0] = 5e-324
+    doc["shape_operators"][1][2][2] = -0.0
+    p = tmp_path / "point.json"
+    write_doc(p, doc)
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    echoed = json.loads(text)["input"]["shape_operators"]
+    assert echoed == doc["shape_operators"]
+    assert math.copysign(1.0, echoed[1][2][2]) == -1.0
