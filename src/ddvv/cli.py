@@ -37,7 +37,7 @@ def read_input_document(path):
     JSON numbers: a string, a boolean or null is malformed, though Python
     or numpy would convert it.
     """
-    with open(path, "rb", buffering=0) as f:  # json.loads decodes the UTF-8 bytes
+    with open(path, "rb", buffering=0) as f:  # read whole, so no buffer is needed
         doc = json.loads(f.read())
     try:
         n, m, mats = doc["n"], doc["m"], doc["shape_operators"]
@@ -60,14 +60,14 @@ def read_input_document(path):
     return ShapeOperatorSet(arr, ambient_c=c), doc.get("label")
 
 
-def shape_set_to_document(s, label=None, *, lists=True):
-    """The input document of `s`; with lists=False the operators stay the
-    float64 array, which `write_json` writes as its lists."""
+def shape_set_to_document(s, label=None):
+    """The input document of `s`, with the operators as their float64 array,
+    which `write_json` writes as its lists."""
     doc = {
         "n": s.n,
         "m": s.m,
         "ambient_c": s.ambient_c,
-        "shape_operators": s.ops.tolist() if lists else s.ops,
+        "shape_operators": s.ops,
     }
     if label is not None:
         doc["label"] = label
@@ -168,13 +168,12 @@ _LEAVES = {
 
 def write_json(doc, path):
     """Write `doc` as json.dump(doc, f, indent=2) does, with every numpy array
-    as its tolist(), plus a newline, in one unbuffered write."""
+    as its tolist(), plus a newline, in one write."""
     if path is None:
         return
-    data = memoryview((_json_text(doc) + "\n").encode())  # ASCII, as json's text is
-    with open(path, "wb", buffering=0) as f:
-        while data:  # a raw write may take only part of the data
-            data = data[f.write(data):]
+    text = _json_text(doc) + "\n"
+    with open(path, "wb") as f:  # the text is ASCII, as json's is
+        f.write(text.encode())
 
 
 def write_csv(checks, path):
@@ -217,7 +216,7 @@ def cmd_check(args):
     lagr = lagrangian.lagrangian_symmetry_check(s, args.tol) if s.m == s.n else None
     report = _report_skeleton()
     report.update({
-        "input": shape_set_to_document(s, label, lists=False),
+        "input": shape_set_to_document(s, label),
         "invariants": inv.as_dict(),
         "checks": [c.as_dict() for c in checks],
         "lagrangian_symmetry": lagr,
@@ -310,7 +309,7 @@ def cmd_family(args):
         return 1
     report = _report_skeleton()
     report.update({
-        "input": shape_set_to_document(s, label=args.family, lists=False),
+        "input": shape_set_to_document(s, label=args.family),
         "invariants": inv.as_dict(),
         "closed_forms": closed_forms(p, inv),
         "checks": [c.as_dict() for c in checks],

@@ -15,7 +15,7 @@ an assumption made here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -121,8 +121,11 @@ class CurvatureInvariants:
     gram: np.ndarray = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
-        return {"rho": self.rho, "rho_perp": self.rho_perp, "h_sq": self.h_sq,
-                "b_sq": self.b_sq, "slack": self.slack, "ambient_c": self.ambient_c}
+        return {name: getattr(self, name) for name in _REPORT_FIELDS}
+
+
+# the fields of a report, in order: those that take part in comparison
+_REPORT_FIELDS = tuple(f.name for f in fields(CurvatureInvariants) if f.compare)
 
 
 def traceless_parts(s: ShapeOperatorSet) -> MatrixTuple:

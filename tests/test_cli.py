@@ -34,7 +34,7 @@ def test_input_round_trip(tmp_path):
     assert label is None
     echoed = cli.shape_set_to_document(s)
     p2 = tmp_path / "echo.json"
-    write_doc(p2, echoed)
+    cli.write_json(echoed, p2)
     s2, _ = cli.read_input_document(p2)
     np.testing.assert_array_equal(s.ops, s2.ops)  # bit-identical round trip
     assert s2.ambient_c == s.ambient_c
