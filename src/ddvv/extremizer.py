@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import MatrixTuple
-from .inequalities import gram_diagonalizing_mix
+from .inequalities import equality_certificate
 from .matrix_core import traceless_project
 
 VIOLATION_THRESHOLD = 1.0 + 1e-6
@@ -311,21 +311,9 @@ def _restart_start(config: SearchConfig, index: int):
     return rng.standard_normal((config.m, config.n, config.n))
 
 
-def _canonicalize(mats):
-    """Mix the tuple into the canonical normal frame, largest matrices first.
-
-    Orthogonal mixing in the tuple index leaves the objective invariant;
-    diagonalizing the Gram matrix of pairwise inner products concentrates
-    the norm and exposes the equality pair of a maximizer even when the
-    maximizer manifold contains spread-out configurations.
-    """
-    mixed = gram_diagonalizing_mix(mats)
-    norms = np.sum(mixed * mixed, axis=(1, 2))
-    return traceless_project(mixed[np.argsort(norms)[::-1]])
-
-
 def multistart(config: SearchConfig) -> SearchReport:
-    """Run seeded restarts of the ascent and report the best configuration."""
+    """Run seeded restarts of the ascent and report the best configuration,
+    as the canonical tuple of `inequalities.equality_certificate`."""
     t0 = time.perf_counter()
     best_value, best_mats, outcomes = -np.inf, None, []
     # restarts are independent: batches bound the (R, mn, mn) products
@@ -341,7 +329,7 @@ def multistart(config: SearchConfig) -> SearchReport:
             # ties within 1e-12 keep the earliest restart for determinism
             if value > best_value + 1e-12:
                 best_value, best_mats = value, x
-    best_tuple = MatrixTuple(_canonicalize(best_mats))
+    best_tuple = MatrixTuple(equality_certificate(best_mats)[0])
     return SearchReport(
         best_value=float(best_value),
         best_tuple=best_tuple,
@@ -351,13 +339,3 @@ def multistart(config: SearchConfig) -> SearchReport:
         violation_candidate=bool(best_value > VIOLATION_THRESHOLD),
     )
 
-
-def dominant_pair(t, cutoff=1e-6):
-    """The two largest-norm matrices of a tuple, discarding near-zero ones."""
-    mats = _stack(t)
-    norms = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
-    keep = np.argsort(norms)[::-1]
-    keep = keep[norms[keep] >= cutoff]
-    if len(keep) < 2:
-        raise ValueError("tuple has fewer than two significant matrices")
-    return mats[keep[0]], mats[keep[1]]

@@ -11,14 +11,14 @@ axes, gives a CheckResult of arrays; one point gives Python floats and bools.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import curvature
 from .curvature import MatrixTuple, ShapeOperatorSet, _relative_traces
 from .matrix_core import (
-    as_symmetric, commutators_and_gram, frobenius_inner, frobenius_norm_sq, sum_sq, unit_stack)
+    as_symmetric, commutators_and_gram, scalar_or_array, sum_sq, traceless_project, unit_stack)
 
 DEFAULT_TOL = 1e-9
 
@@ -81,13 +81,73 @@ def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     """Commutator-sum bound for traceless symmetric tuples.
 
     lhs = sum over ordered pairs of ||[B_a, B_b]||^2, rhs = (sum ||B_a||^2)^2.
-    Rejects tuples that are not traceless within `tol`.
+    Equality needs equal sides and a tuple on the equality orbit, within
+    `tol` of `equality_certificate`.  Rejects tuples that are not traceless
+    within `tol`.
     """
     mats = _as_stack(t)
     if np.any(_relative_traces(mats) > tol):
         raise ValueError("ddvv_check requires traceless matrices")
     comm, gram = commutators_and_gram(unit_stack(mats)[0])
-    return _result(sum_sq(comm, 4), np.trace(gram, axis1=-2, axis2=-1) ** 2, tol, "ddvv")
+    result = _result(sum_sq(comm, 4), np.trace(gram, axis1=-2, axis2=-1) ** 2, tol, "ddvv")
+    return _on_orbit(result, mats, tol)
+
+
+def equality_certificate(t):
+    """(canonical tuple, residual) of traceless symmetric tuples (..., m, n, n).
+
+    The DDVV sides are equal exactly on one O(n) x O(m) orbit (Ge & Tang,
+    2008; Lu, 2011): B_1 and B_2 are the pair mu (e_1 e_2^T + e_2 e_1^T),
+    mu (e_1 e_1^T - e_2 e_2^T) on a 2-plane, of equal norms, and every other
+    B_a is 0.  Each tuple is first scaled by 2^-e, 2^e just above its largest
+    entry; that is exact, so nothing here depends on 2^k scaling, and the
+    scaled tuple cannot overflow.  The canonical tuple C is the
+    Gram-diagonalizing mix B'_b = sum_a O_ab B_a, largest norm first,
+    projected traceless, at the input's scale.  The residual, in units of
+    |B|^2, is 0 exactly on the orbit: the largest of the Gram spectrum beyond
+    the top two eigenvalues, the gap between those two, |C_1^2 - C_2^2|,
+    |C_1 C_2 + C_2 C_1| and, on the unit tuple, |(C_1^2)^2 - C_1^2 / 4|.  A
+    zero tuple has residual 0; a nonzero one with m = 1 is off the orbit.
+    """
+    mats = _as_stack(t)
+    m = mats.shape[-3]
+    b = mats.reshape(-1, *mats.shape[-3:])  # one tuple per row
+    e = np.frexp(np.abs(b).max(axis=(1, 2, 3)))[1][:, None, None, None]
+    b = np.ldexp(b, -e)
+    flat = b.reshape(len(b), m, -1)
+    gram = flat @ flat.swapaxes(1, 2)
+    lam, vecs = np.linalg.eigh(gram)  # ascending
+    mixed = np.einsum("kab,kaij->kbij", vecs, b)
+    order = np.argsort((mixed * mixed).sum(axis=(2, 3)))[:, ::-1]
+    canon = traceless_project(mixed[np.arange(len(b))[:, None], order])
+    total = np.trace(gram, axis1=1, axis2=2)
+    unit = total + (total == 0)  # a zero tuple has zero terms: divide by 1
+    pair = canon[:, :2] / np.sqrt(unit)[:, None, None, None]  # of the unit tuple
+    if m == 1:  # a zero matrix and eigenvalue stand in for the second
+        pair = np.concatenate([pair, 0 * pair], axis=1)
+        lam = np.concatenate([0 * lam, lam], axis=1)
+    c1, c2 = pair[:, 0], pair[:, 1]
+    sq1 = c1 @ c1
+    defects = np.stack([sq1 - c2 @ c2, c1 @ c2 + c2 @ c1, sq1 @ sq1 - sq1 / 4.0])
+    residual = np.max([np.abs(lam[:, :-2]).sum(axis=1) / unit,
+                       (lam[:, -1] - lam[:, -2]) / unit,
+                       *np.sqrt((defects * defects).sum(axis=(2, 3)))], axis=0)
+    return (np.ldexp(canon, e).reshape(mats.shape),
+            scalar_or_array(residual.reshape(mats.shape[:-3])))
+
+
+def _on_orbit(check, ops, tol):
+    """`check` with its equality flag kept only where the traceless parts of
+    `ops` pass `equality_certificate` within `tol`.
+
+    Only the tuples whose sides are equal get a certificate; holds stays as
+    the sides decide it.
+    """
+    equality = np.array(check.equality)
+    if not equality.any():
+        return check
+    equality[equality] = equality_certificate(traceless_project(ops[equality]))[1] <= tol
+    return replace(check, equality=scalar_or_array(equality))
 
 
 def cdk_check(b1, b2, tol=DEFAULT_TOL) -> CheckResult:
@@ -100,38 +160,6 @@ def cdk_check(b1, b2, tol=DEFAULT_TOL) -> CheckResult:
     comm, gram = commutators_and_gram(unit_stack(pairs)[0])
     lhs = sum_sq(comm[..., 0, 1, :, :], 2)
     return _result(lhs, 2.0 * gram[..., 0, 0] * gram[..., 1, 1], tol, "cdk")
-
-
-def _rank(b, tol):
-    norm = np.sqrt(frobenius_norm_sq(b))
-    if norm == 0.0:
-        return 0
-    eigs = np.linalg.eigvalsh(b)
-    return int(np.sum(np.abs(eigs) >= tol * norm))
-
-
-def cdk_equality_detect(b1, b2, tol=DEFAULT_TOL) -> bool:
-    """Detect the pairwise-bound equality case.
-
-    Numeric equality of the two sides, plus (for nonzero pairs) the
-    structural certificate of the equality form: both matrices of rank at
-    most two, traceless, and orthogonal to each other.
-    """
-    mats = _as_stack([b1, b2])
-    check = cdk_check(mats[0], mats[1], tol)
-    if not check.equality:
-        return False
-    mats = unit_stack(mats)[0]
-    m1, m2 = mats[0], mats[1]
-    if frobenius_norm_sq(m1) <= tol and frobenius_norm_sq(m2) <= tol:
-        return True
-    if _rank(m1, tol) > 2 or _rank(m2, tol) > 2:
-        return False
-    if abs(frobenius_inner(m1, m2)) > tol:
-        return False
-    if abs(np.trace(m1)) > tol or abs(np.trace(m2)) > tol:
-        return False
-    return True
 
 
 def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
@@ -215,7 +243,8 @@ def point_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     u = s.ops.trace(axis1=-2, axis2=-1) / (np.sqrt(n) * np.sqrt(total))[..., None]
     gram = inv.gram / total[..., None, None] + u[..., :, None] * u[..., None, :]
     comm_sq = (n * (n - 1) * inv.rho_perp / total) ** 2
-    return inv, [*_invariant_checks(s, inv, tol), _lili_sides(comm_sq, gram, tol)]
+    ddvv, *rest = _invariant_checks(s, inv, tol)
+    return inv, [_on_orbit(ddvv, s.ops, tol), *rest, _lili_sides(comm_sq, gram, tol)]
 
 
 def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
@@ -231,15 +260,3 @@ def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
 def chen_check(s: ShapeOperatorSet, tol=DEFAULT_TOL) -> CheckResult:
     """Normally-flat bound rho <= |H|^2 + c; equality iff b vanishes at the point's scale."""
     return _invariant_checks(s, curvature.invariants(s), tol)[1]
-
-
-def gram_diagonalizing_mix(t):
-    """Orthogonally mix the tuple so the Gram matrix <B_a, B_b> is diagonal.
-
-    Eigendecomposes the m x m Gram matrix and applies the eigenvector mixing
-    B'_b = sum_a O_ab B_a.
-    """
-    mats = _as_stack(t)
-    _, gram = commutators_and_gram(mats)
-    _, vecs = np.linalg.eigh(gram)
-    return np.einsum("ab,aij->bij", vecs, mats)

@@ -9,18 +9,12 @@ coefficient array <h(e_i, e_j), J e_k> is totally symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curvature import (
-    CurvatureInvariants,
-    ShapeOperatorSet,
-    mean_curvature_sq,
-    rho_direct,
-    traceless_parts,
-)
-from .matrix_core import commutators_and_gram
+from .curvature import CurvatureInvariants, ShapeOperatorSet, invariants
+from .matrix_core import scalar_or_array
 
 
 @dataclass(frozen=True)
@@ -141,27 +135,26 @@ def csf_invariants(s: ShapeOperatorSet, c: float) -> CurvatureInvariants:
 
     The Gauss sum keeps the real-space-form shape with constant c; the
     Ricci components pick up the ambient term, so the normal curvature
-    tensor of the pair (a, b) is [A_a, A_b] + c (e_a e_b^T - e_b e_a^T).
-    Reduces exactly to the flat computation at c = 0.
+    tensor of the pair (a, b) is [A_a, A_b] + c (E_ab - E_ba), E_ab = e_a e_b^T.
+    As [A_a, A_b] is skew,
+    sum_{a,b} ||[A_a, A_b] + c (E_ab - E_ba)||^2
+        = S + 4c sum_{a,b} ([A_a, A_b])_ab + 2c^2 n(n-1),
+    with S = (n(n-1) rho_perp)^2 the flat commutator sum.  On a totally
+    symmetric cube C[a, i, j] = (A_a)_ij the middle sum is
+    sum_k (tr A_k)^2 - sum C[a, i, j]^2 = n(n-1) |H|^2 - |b|^2, so every term
+    comes from one `invariants` evaluation.  At c = 0 these are the flat
+    invariants, rho_perp to rounding.
     """
     if s.m != s.n:
         raise ValueError("Lagrangian frame requires codimension == dimension")
     if not lagrangian_symmetry_check(s):
         raise ValueError("operators fail the Lagrangian symmetry property")
-    n = s.n
-    rho = rho_direct(ShapeOperatorSet(s.ops, ambient_c=c))
-    parts = traceless_parts(s)
-    comm, _ = commutators_and_gram(parts.mats)
-    eye = np.eye(n)
-    outer = eye[:, None, :, None] * eye[None, :, None, :]  # e_a e_b^T at [a, b]
-    ricci = comm + c * (outer - outer.transpose(1, 0, 2, 3))
-    rho_perp = float(np.sqrt(np.vdot(ricci, ricci))) / (n * (n - 1))
-
-    h_sq = mean_curvature_sq(s)
-    b_sq = parts.norm_sq_total()
-    slack = h_sq - rho_perp + c - rho
-    return CurvatureInvariants(rho=rho, rho_perp=rho_perp, h_sq=h_sq,
-                               b_sq=b_sq, slack=slack, ambient_c=c)
+    nn = s.n * (s.n - 1)
+    inv = invariants(ShapeOperatorSet(s.ops, ambient_c=c))
+    ambient = 4.0 * c * (nn * inv.h_sq - inv.b_sq) + 2.0 * c * c * nn
+    # a sum of squares, which rounding must not take below 0
+    rho_perp = scalar_or_array(np.sqrt(np.maximum(inv.rho_perp**2 + ambient / nn**2, 0.0)))
+    return replace(inv, rho_perp=rho_perp, slack=inv.h_sq - rho_perp + c - inv.rho)
 
 
 def csf_bound_rhs(rho: float, c: float) -> float:

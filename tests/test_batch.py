@@ -16,7 +16,8 @@ def close(x, y):
 
 
 def stack(p, m, n, seed):
-    """p random points at scales 1e-3..1e3, with a zero, an umbilic and a CDK point."""
+    """p random points at scales 1e-3..1e3, with a zero, an umbilic, a CDK point
+    and the CDK point moved 1e-5 off its orbit."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((p, m, n, n))
     ops = (g + g.swapaxes(-1, -2)) / 2 * 10.0 ** rng.uniform(-3, 3, (p, 1, 1, 1))
@@ -27,6 +28,9 @@ def stack(p, m, n, seed):
         ops[3] = 0.0
         ops[3, 0, 0, 1] = ops[3, 0, 1, 0] = ops[3, 1, 0, 0] = 0.5
         ops[3, 1, 1, 1] = -0.5
+    if p >= 5 and m >= 2:
+        d = mc.traceless_project(rng.standard_normal((m, n, n)))
+        ops[4] = ops[3] + 1e-5 * d / np.sqrt(np.sum(d * d))
     return ops, rng.uniform(-1, 1, p)
 
 
@@ -60,6 +64,8 @@ def test_point_checks_match_per_point(p, m, n):
             assert close(batch.lhs[k], single.lhs) and close(batch.rhs[k], single.rhs)
             assert (batch.holds[k], batch.equality[k]) == (single.holds, single.equality)
         assert all(close(getattr(inv, key)[k], getattr(one_inv, key)) for key in KEYS)
+    if p >= 5 and m >= 2:  # the CDK point is an equality, the point off its orbit is not
+        assert checks[0].equality[3] and checks[0].holds[4] and not checks[0].equality[4]
 
 
 def test_one_point_gives_plain_python_values():

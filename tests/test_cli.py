@@ -66,6 +66,23 @@ def test_check_cdk_pair(tmp_path):
     assert report["tool_version"]
 
 
+def test_check_near_orbit_point_is_ok_not_equality(tmp_path, capsys):
+    # the CDK pair in R^3 moved 1e-5 off its orbit: the sides agree within
+    # the tolerance, the equality certificate does not
+    ops = np.zeros((2, 3, 3))
+    ops[0, 0, 1] = ops[0, 1, 0] = 0.5
+    ops[1] = np.diag([0.5, -0.5, 0.0]) + 1e-5 * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    doc = {"n": 3, "m": 2, "ambient_c": 0.0, "shape_operators": ops.tolist()}
+    p = tmp_path / "near.json"
+    write_doc(p, doc)
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" [ok]")
+    ddvv = json.loads(out.read_text())["checks"][0]
+    assert ddvv["label"] == "ddvv" and ddvv["holds"] is True and ddvv["equality"] is False
+    assert abs(ddvv["lhs"] - ddvv["rhs"]) <= ddvv["tol"]
+
+
 def test_check_shape_error(tmp_path):
     doc = {"n": 3, "m": 1, "shape_operators": [[[1, 0, 0], [0, 1, 0]]]}
     p = tmp_path / "bad.json"

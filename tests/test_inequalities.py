@@ -10,6 +10,7 @@ from ddvv.matrix_core import (
     frobenius_norm_sq,
     random_orthogonal,
     random_traceless_sym,
+    traceless_project,
 )
 
 
@@ -25,6 +26,30 @@ def cdk_pair(mu1=0.5, mu2=0.5, n=2):
 def random_traceless_stack(m, n, seed):
     return np.stack([random_traceless_sym(n, seed + 1000 * k)
                      for k in range(m)])
+
+
+def cdk_tuple(m, n):
+    """The unit CDK pair on the first 2-plane, padded with zero matrices to m."""
+    t = np.zeros((m, n, n))
+    t[:2] = cdk_pair(n=n)
+    return t
+
+
+def near_orbit(m=3, n=4, seed=0):
+    """The unit CDK pair plus a traceless perturbation of norm 1e-5.
+
+    Its DDVV sides differ by about 1e-10, within the default tolerance.
+    """
+    d = traceless_project(np.random.default_rng(seed).standard_normal((m, n, n)))
+    return cdk_tuple(m, n) + 1e-5 * d / np.sqrt(np.sum(d * d))
+
+
+def rotate(t, seed):
+    """t conjugated by a Haar O(n) and mixed by a Haar O(m), made exactly symmetric."""
+    m, n = t.shape[-3:-1]
+    o, mix = random_orthogonal(n, seed), random_orthogonal(m, seed + 1)
+    r = np.einsum("ab,...aij->...bij", mix, o.T @ t @ o)
+    return (r + r.swapaxes(-1, -2)) / 2
 
 
 ### ddvv_check
@@ -56,18 +81,19 @@ def test_ddvv_rejects_nonzero_trace():
 
 
 def test_ddvv_verdict_invariances():
-    mats = random_traceless_stack(3, 4, 0)
-    base = ineq.ddvv_check(mats)
-    o = random_orthogonal(4, 9)
-    conj = np.stack([conjugate(b, o) for b in mats])
-    mix = random_orthogonal(3, 10)
-    mixed = np.einsum("ab,aij->bij", mix, mats)
-    perm = mats[[2, 0, 1]]
-    for variant in (conj, mixed, perm, 3.7 * mats):
-        r = ineq.ddvv_check(variant)
-        assert r.holds == base.holds
-        assert r.equality == base.equality
-        assert abs(r.lhs - base.lhs) <= 1e-9  # normalized, scale-free
+    # a random tuple, the CDK pair and a point just off its orbit
+    for mats in (random_traceless_stack(3, 4, 0), cdk_tuple(3, 4), near_orbit()):
+        base = ineq.ddvv_check(mats)
+        o = random_orthogonal(4, 9)
+        conj = np.stack([conjugate(b, o) for b in mats])
+        mix = random_orthogonal(3, 10)
+        mixed = np.einsum("ab,aij->bij", mix, mats)
+        perm = mats[[2, 0, 1]]
+        for variant in (conj, mixed, perm, 3.7 * mats):
+            r = ineq.ddvv_check(variant)
+            assert r.holds == base.holds
+            assert r.equality == base.equality
+            assert abs(r.lhs - base.lhs) <= 1e-9  # normalized, scale-free
 
 
 def test_ddvv_m2_implied_by_cdk_chain():
@@ -95,7 +121,10 @@ def test_cdk_displayed_pair_equality(mu1, mu2):
     b1, b2 = cdk_pair(mu1, mu2, n=4)
     r = ineq.cdk_check(b1, b2)
     assert r.equality
-    assert ineq.cdk_equality_detect(b1, b2)
+    # the pairwise equality allows unequal norms; the DDVV equality does not
+    on_orbit = abs(mu1) == abs(mu2)
+    assert ineq.ddvv_check(np.stack([b1, b2])).equality == on_orbit
+    assert (ineq.equality_certificate(np.stack([b1, b2]))[1] <= 1e-15) == on_orbit
 
 
 def test_cdk_random_pairs_hold():
@@ -111,19 +140,86 @@ def test_cdk_random_pairs_hold():
         assert r.lhs == pytest.approx(lhs, rel=1e-12)
 
 
-def test_cdk_equality_detect_orthogonal_invariant():
-    b1, b2 = cdk_pair(0.7, -0.4, n=5)
-    o = random_orthogonal(5, 77)
-    assert ineq.cdk_equality_detect(conjugate(b1, o), conjugate(b2, o))
+### equality_certificate
 
 
-def test_cdk_equality_detect_rejects_commuting_pair():
+def test_near_orbit_point_holds_without_equality():
+    t = near_orbit()
+    r = ineq.ddvv_check(t)
+    assert abs(r.lhs - r.rhs) <= ineq.DEFAULT_TOL  # the sides cannot tell
+    assert r.holds and not r.equality
+    assert 1e-6 <= ineq.equality_certificate(t)[1] <= 1e-4
+    _, checks = ineq.point_checks(ShapeOperatorSet(t + 0.3 * np.eye(4), 0.2))
+    assert checks[0].label == "ddvv"
+    assert checks[0].holds and not checks[0].equality
+
+
+def test_ddvv_equality_where_the_sides_underflow():
+    # at entries of 1e-170, |b|^2 underflows to 0 and both sides read 0;
+    # the certificate scales the tuple exactly and still tells them apart
+    t = 1e-170 * random_traceless_stack(3, 4, 5)
+    assert not ineq.ddvv_check(t).equality
+    assert not ineq.point_checks(ShapeOperatorSet(t))[1][0].equality
+    assert ineq.ddvv_check(1e-170 * cdk_tuple(3, 4)).equality
+
+
+def test_equality_certificate_on_rotated_cdk_pairs():
+    for n in range(2, 9):
+        for m in range(2, 9):
+            t = rotate(cdk_tuple(m, n), 100 * n + m)
+            for scale in (1.0, 3.7e-3, 2.1e5):
+                assert ineq.equality_certificate(scale * t)[1] <= 1e-14, (n, m, scale)
+
+
+def test_equality_certificate_rejects_random_tuples():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(3, 9))
+        t = traceless_project(rng.standard_normal((m, n, n)))
+        assert ineq.equality_certificate(t)[1] >= 0.1, (m, n)
+
+
+def test_equality_certificate_scale_invariant():
+    t = np.stack([near_orbit(), rotate(cdk_tuple(3, 4), 7), random_traceless_stack(3, 4, 5)])
+    canon, residual = ineq.equality_certificate(t)
+    for k in range(-400, 401):
+        scaled_canon, scaled = ineq.equality_certificate(np.ldexp(t, k))
+        np.testing.assert_array_equal(scaled, residual)
+        np.testing.assert_array_equal(scaled_canon, np.ldexp(canon, k))
+
+
+def test_equality_certificate_orthogonal_invariant():
+    b1, b2 = cdk_pair(0.7, -0.4, n=5)  # a pairwise equality with unequal norms
+    tuples = [near_orbit(), random_traceless_stack(3, 4, 5), np.stack([b1, b2])]
+    for t in tuples:
+        base = ineq.equality_certificate(t)[1]
+        assert base > 1e-6
+        for seed in range(5):
+            assert abs(ineq.equality_certificate(rotate(t, 10 * seed))[1] - base) <= 1e-10
+
+
+def test_equality_certificate_rejects_commuting_pair():
     b = np.diag([1.0, -1.0, 0.0])
-    assert not ineq.cdk_equality_detect(b, b)
+    assert ineq.equality_certificate(np.stack([b, b]))[1] >= 0.5
+    assert ineq.equality_certificate(b[None])[1] == 1.0  # m = 1: never on the orbit
 
 
-def test_cdk_equality_detect_zero_pair():
-    assert ineq.cdk_equality_detect(np.zeros((3, 3)), np.zeros((3, 3)))
+def test_equality_certificate_zero_tuple():
+    canon, residual = ineq.equality_certificate(np.zeros((2, 3, 3)))
+    assert residual == 0.0 and np.all(canon == 0.0)
+    assert ineq.ddvv_check(np.zeros((2, 3, 3))).equality
+
+
+def test_equality_certificate_takes_stacks():
+    t = np.stack([near_orbit(seed=k) for k in range(3)] + [cdk_tuple(3, 4), np.zeros((3, 4, 4))])
+    canon, residual = ineq.equality_certificate(t)
+    assert residual.shape == (5,) and canon.shape == t.shape
+    for k in range(5):
+        one_canon, one = ineq.equality_certificate(t[k])
+        assert type(one) is float and one == residual[k]
+        np.testing.assert_array_equal(one_canon, canon[k])
+    r = ineq.ddvv_check(t)
+    assert list(r.equality) == [False, False, False, True, True] and r.holds.all()
 
 
 ### lili_check
@@ -153,7 +249,7 @@ def test_lili_fuzz_holds():
         assert ineq.lili_check(mats).holds
 
 
-def test_lili_chain_after_gram_diagonalizing_mix():
+def test_lili_chain_on_the_canonical_tuple():
     # with an orthogonal Gram matrix the combined bound with constant
     # (2m-1)/(2m-2) on the commutator sum follows; check it on samples
     rng = np.random.default_rng(23)
@@ -161,7 +257,7 @@ def test_lili_chain_after_gram_diagonalizing_mix():
         m = int(rng.integers(2, 6))
         n = int(rng.integers(2, 6))
         mats = random_traceless_stack(m, n, int(rng.integers(10**6)))
-        mixed = ineq.gram_diagonalizing_mix(mats)
+        mixed = ineq.equality_certificate(mats)[0]
         gram = np.einsum("aij,bij->ab", mixed, mixed)
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) <= 1e-9 * max(1.0, np.max(np.abs(gram)))

@@ -171,6 +171,33 @@ def test_csf_reduces_to_flat():
         assert abs(csf.rho_perp - flat.rho_perp) <= 1e-14
 
 
+def test_csf_matches_the_explicit_ricci_tensor():
+    # the normal curvature tensor [A_a, A_b] + c (E_ab - E_ba), built entry by entry
+    rng = np.random.default_rng(103)
+    for k in range(300):
+        if k % 3 == 0:
+            s = lg.minimal_lagrangian_c3(lg.C3Params(*rng.uniform(-2, 2, size=4)))
+        elif k % 3 == 1:
+            s = lg.ultraminimal_c4_22(lg.C4BlockParams(*rng.uniform(-2, 2, size=4)))
+        else:
+            s = lg.h_umbilical(lg.HUmbilicalParams(int(rng.integers(2, 7)),
+                                                   *rng.uniform(-2, 2, size=2)))
+        c = float(rng.uniform(-2, 2))
+        n = s.n
+        total = 0.0
+        for a in range(n):
+            for b in range(n):
+                r = commutator(s.ops[a], s.ops[b])
+                r[a, b] += c
+                r[b, a] -= c
+                total += frobenius_norm_sq(r)
+        csf = lg.csf_invariants(s, c)
+        flat = cv.invariants(s)
+        scale = abs(c) + flat.h_sq + flat.b_sq / (n * (n - 1))
+        assert abs(csf.rho_perp - np.sqrt(total) / (n * (n - 1))) <= 1e-14 * scale
+        assert rel_err(csf.rho, cv.rho_direct(ShapeOperatorSet(s.ops, c))) <= 1e-14
+
+
 def test_csf_totally_geodesic_equality():
     s = ShapeOperatorSet(np.zeros((3, 3, 3)))
     csf = lg.csf_invariants(s, 1.0)
