@@ -209,10 +209,11 @@ def _print_checks(checks, width, tail=""):
 def cmd_check(args):
     try:
         s, label = read_input_document(args.input)
+        # a point whose traceless parts overflow passes the reader but not this
+        inv, checks = inequalities.point_checks(s, args.tol)
     except (OSError, ValueError, AsymmetricMatrixError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
-    inv, checks = inequalities.point_checks(s, args.tol)
     lagr = lagrangian.lagrangian_symmetry_check(s, args.tol) if s.m == s.n else None
     report = _report_skeleton()
     report.update({

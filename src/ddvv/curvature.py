@@ -71,39 +71,6 @@ def _relative_traces(mats):
     return np.abs(mats.trace(axis1=-2, axis2=-1)) / np.maximum(1.0, norms)
 
 
-def _check_traceless(mats):
-    excess = _relative_traces(mats)
-    if (excess > TRACELESS_TOL).any():
-        raise ValueError(f"matrix has relative trace {np.max(excess):.3e}, not traceless")
-
-
-@dataclass(frozen=True)
-class MatrixTuple:
-    """Ordered tuple of m traceless symmetric n x n matrices, shape (..., m, n, n)."""
-
-    mats: np.ndarray
-
-    def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=float)
-        if mats.ndim < 3:
-            raise ValueError(f"expected shape (..., m, n, n), got {mats.shape}")
-        mats = as_symmetric(mats)
-        _check_traceless(mats)
-        mats.setflags(write=False)
-        object.__setattr__(self, "mats", mats)
-
-    @property
-    def m(self):
-        return self.mats.shape[-3]
-
-    @property
-    def n(self):
-        return self.mats.shape[-1]
-
-    def norm_sq_total(self):
-        return scalar_or_array((self.mats * self.mats).sum(axis=(-3, -2, -1)))
-
-
 @dataclass(frozen=True)
 class CurvatureInvariants:
     """The invariants of a point, or arrays of them for a stack.
@@ -128,9 +95,19 @@ class CurvatureInvariants:
 _REPORT_FIELDS = tuple(f.name for f in fields(CurvatureInvariants) if f.compare)
 
 
-def traceless_parts(s: ShapeOperatorSet) -> MatrixTuple:
-    """Remove the mean-curvature multiple of the identity from each operator."""
-    return MatrixTuple(traceless_project(s.ops))
+def traceless_parts(s: ShapeOperatorSet) -> np.ndarray:
+    """The traceless parts B_a = A_a - (tr A_a / n) I of the operators, (..., m, n, n).
+
+    The operators are validated, so the projection is exactly symmetric; it
+    is checked to be finite and traceless to TRACELESS_TOL.
+    """
+    parts = traceless_project(s.ops)
+    if not np.isfinite(parts).all():
+        raise ValueError("traceless parts overflow the float range")
+    excess = _relative_traces(parts)
+    if (excess > TRACELESS_TOL).any():
+        raise ValueError(f"matrix has relative trace {np.max(excess):.3e}, not traceless")
+    return parts
 
 
 @functools.cache
@@ -186,12 +163,7 @@ def invariants(s: ShapeOperatorSet) -> CurvatureInvariants:
     as on its own.
     """
     n = s.n
-    # the projection of validated operators is exactly symmetric, so of the
-    # checks of MatrixTuple it needs only these two
-    parts = traceless_project(s.ops)
-    if not np.isfinite(parts).all():
-        raise ValueError("traceless parts overflow the float range")
-    _check_traceless(parts)
+    parts = traceless_parts(s)
     b_sq = (parts * parts).sum(axis=(-3, -2, -1))
     e = np.frexp(b_sq)[1] // 2
     comm, gram = commutators_and_gram(np.ldexp(parts, -e[..., None, None, None]))

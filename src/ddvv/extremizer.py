@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import MatrixTuple
 from .inequalities import equality_certificate
 from .matrix_core import traceless_project
 
@@ -86,7 +85,7 @@ class RestartOutcome:
 @dataclass(frozen=True)
 class SearchReport:
     best_value: float
-    best_tuple: MatrixTuple
+    best_tuple: np.ndarray
     per_restart: list[RestartOutcome]
     config: SearchConfig
     wall_time: float
@@ -95,7 +94,7 @@ class SearchReport:
     def as_dict(self):
         return {
             "best_value": self.best_value,
-            "best_tuple": self.best_tuple.mats.tolist(),
+            "best_tuple": self.best_tuple.tolist(),
             "per_restart": [
                 {"value": r.value, "iterations": r.iterations,
                  "converged": r.converged, "stop_reason": r.stop_reason}
@@ -105,10 +104,6 @@ class SearchReport:
             "wall_time": self.wall_time,
             "violation_candidate": self.violation_candidate,
         }
-
-
-def _stack(t):
-    return t.mats if isinstance(t, MatrixTuple) else np.asarray(t, dtype=float)
 
 
 def _products(mats):
@@ -154,7 +149,7 @@ def objective(t):
     accurate to that absolute error.  The invariants and the checks use
     the commutator stack of `matrix_core.commutators_and_gram`.
     """
-    mats = _stack(t)
+    mats = np.asarray(t, dtype=float)
     q, w = _products(mats)
     value = np.maximum(2.0 * (np.einsum("...ij,...ij->...", q, q) - _inner(mats, w)), 0.0)
     return float(value) if mats.ndim == 3 else value
@@ -162,7 +157,7 @@ def objective(t):
 
 def normalize(t):
     """Traceless-project and scale each tuple so its total squared norm is 1."""
-    mats = traceless_project(_stack(t))
+    mats = traceless_project(t)
     total = _inner(mats, mats)[..., None, None, None]
     if np.any(total <= 0):
         raise ValueError("cannot normalize a zero tuple")
@@ -182,7 +177,7 @@ def gradient(t):
     tr G_g = 0 for every symmetric tuple, traceless or not.
     The result is a new array.
     """
-    mats = _stack(t)
+    mats = np.asarray(t, dtype=float)
     q, w = _products(mats)
     m, n = mats.shape[-3:-1]
     g = (mats.reshape(-1, m * n, n) @ q.reshape(-1, n, n)).reshape(mats.shape)  # [B_g Q]
@@ -198,7 +193,7 @@ def riemannian_gradient(t):
     The radial part <g, x> x is removed in place from the array `gradient`
     returns; on an exactly symmetric x the result stays exactly symmetric.
     """
-    mats = _stack(t)
+    mats = np.asarray(t, dtype=float)
     grad = gradient(mats)
     grad -= _inner(grad, mats)[..., None, None, None] * mats
     return grad
@@ -329,10 +324,9 @@ def multistart(config: SearchConfig) -> SearchReport:
             # ties within 1e-12 keep the earliest restart for determinism
             if value > best_value + 1e-12:
                 best_value, best_mats = value, x
-    best_tuple = MatrixTuple(equality_certificate(best_mats)[0])
     return SearchReport(
         best_value=float(best_value),
-        best_tuple=best_tuple,
+        best_tuple=equality_certificate(best_mats)[0],
         per_restart=outcomes,
         config=config,
         wall_time=time.perf_counter() - t0,

@@ -21,13 +21,13 @@ from .matrix_core import random_orthogonal, unit_stack
 BLOCK_ENTRIES = 2**20
 
 
-def random_shape_set(n, m, rng, ambient_range=1.0, size=(), ambient_c=None):
+def random_shape_set(n, m, rng, size=(), ambient_c=None):
     """Unit-normalized random shape operators, (*size, m, n, n), with an ambient
-    c drawn uniformly from [-ambient_range, ambient_range) unless given."""
+    c drawn uniformly from [-1, 1) unless given."""
     g = rng.standard_normal((*size, m, n, n))
-    ops, _ = unit_stack((g + np.swapaxes(g, -1, -2)) / 2.0)
+    ops = unit_stack((g + np.swapaxes(g, -1, -2)) / 2.0)
     if ambient_c is None:
-        ambient_c = rng.uniform(-ambient_range, ambient_range, size)
+        ambient_c = rng.uniform(-1.0, 1.0, size)
     return ShapeOperatorSet(ops, ambient_c=ambient_c)
 
 

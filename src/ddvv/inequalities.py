@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import curvature
-from .curvature import MatrixTuple, ShapeOperatorSet, _relative_traces
+from .curvature import ShapeOperatorSet, _relative_traces
 from .matrix_core import (
-    as_symmetric, commutators_and_gram, scalar_or_array, sum_sq, traceless_project, unit_stack)
+    as_symmetric, commutators_and_gram, scalar_or_array, scale_pow2, sum_sq, traceless_project,
+    unit_stack)
 
 DEFAULT_TOL = 1e-9
 
@@ -66,12 +67,8 @@ def _point_atol(inv, n, tol):
 
 
 def _as_stack(mats):
-    """Coerce a MatrixTuple, (..., m, n, n) array or list of matrices to a stack."""
-    if isinstance(mats, MatrixTuple):
-        return np.asarray(mats.mats, dtype=float)
+    """Validate an (..., m, n, n) array or nested list of matrices as a symmetric stack."""
     arr = np.asarray(mats, dtype=float)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
     if arr.ndim < 3:
         raise ValueError(f"expected (..., m, n, n) matrices, got shape {arr.shape}")
     return as_symmetric(arr)
@@ -88,7 +85,7 @@ def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     mats = _as_stack(t)
     if np.any(_relative_traces(mats) > tol):
         raise ValueError("ddvv_check requires traceless matrices")
-    comm, gram = commutators_and_gram(unit_stack(mats)[0])
+    comm, gram = commutators_and_gram(unit_stack(mats))
     result = _result(sum_sq(comm, 4), np.trace(gram, axis1=-2, axis2=-1) ** 2, tol, "ddvv")
     return _on_orbit(result, mats, tol)
 
@@ -99,11 +96,11 @@ def equality_certificate(t):
     The DDVV sides are equal exactly on one O(n) x O(m) orbit (Ge & Tang,
     2008; Lu, 2011): B_1 and B_2 are the pair mu (e_1 e_2^T + e_2 e_1^T),
     mu (e_1 e_1^T - e_2 e_2^T) on a 2-plane, of equal norms, and every other
-    B_a is 0.  Each tuple is first scaled by 2^-e, 2^e just above its largest
-    entry; that is exact, so nothing here depends on 2^k scaling, and the
-    scaled tuple cannot overflow.  The canonical tuple C is the
-    Gram-diagonalizing mix B'_b = sum_a O_ab B_a, largest norm first,
-    projected traceless, at the input's scale.  The residual, in units of
+    B_a is 0.  Each tuple is first scaled by `scale_pow2`; that is exact, so
+    nothing here depends on 2^k scaling, and the scaled tuple cannot
+    overflow.  The canonical tuple C is the Gram-diagonalizing mix
+    B'_b = sum_a O_ab B_a, largest norm first, projected traceless, at the
+    input's scale.  The residual, in units of
     |B|^2, is 0 exactly on the orbit: the largest of the Gram spectrum beyond
     the top two eigenvalues, the gap between those two, |C_1^2 - C_2^2|,
     |C_1 C_2 + C_2 C_1| and, on the unit tuple, |(C_1^2)^2 - C_1^2 / 4|.  A
@@ -111,9 +108,7 @@ def equality_certificate(t):
     """
     mats = _as_stack(t)
     m = mats.shape[-3]
-    b = mats.reshape(-1, *mats.shape[-3:])  # one tuple per row
-    e = np.frexp(np.abs(b).max(axis=(1, 2, 3)))[1][:, None, None, None]
-    b = np.ldexp(b, -e)
+    b, e = scale_pow2(mats.reshape(-1, *mats.shape[-3:]))  # one tuple per row
     flat = b.reshape(len(b), m, -1)
     gram = flat @ flat.swapaxes(1, 2)
     lam, vecs = np.linalg.eigh(gram)  # ascending
@@ -157,7 +152,7 @@ def cdk_check(b1, b2, tol=DEFAULT_TOL) -> CheckResult:
     pair per leading index.
     """
     pairs = _as_stack(np.stack([b1, b2], axis=-3))
-    comm, gram = commutators_and_gram(unit_stack(pairs)[0])
+    comm, gram = commutators_and_gram(unit_stack(pairs))
     lhs = sum_sq(comm[..., 0, 1, :, :], 2)
     return _result(lhs, 2.0 * gram[..., 0, 0] * gram[..., 1, 1], tol, "cdk")
 
@@ -168,7 +163,7 @@ def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
     Both double sums run over all ordered pairs, including the diagonal
     terms <B_a, B_a>^2 = ||B_a||^4.  Trace-free input is not required.
     """
-    comm, gram = commutators_and_gram(unit_stack(_as_stack(t))[0])
+    comm, gram = commutators_and_gram(unit_stack(_as_stack(t)))
     return _lili_sides(sum_sq(comm, 4), gram, tol)
 
 

@@ -2,8 +2,9 @@
 
 The pointwise algebra runs on whole (..., m, n, n) stacks, one tuple of m
 matrices per leading index: `as_symmetric` validates a stack,
-`traceless_project` is the symmetric-traceless projection, `unit_stack`
-scales each tuple to total norm 1, `commutators_and_gram` gives every
+`traceless_project` is the symmetric-traceless projection, `scale_pow2`
+scales each tuple exactly below 1, `unit_stack` scales it to total norm 1,
+`commutators_and_gram` gives every
 commutator [B_a, B_b] and the Gram matrix <B_a, B_b> from one product, and
 `sum_sq` is the squared norm over trailing axes.  A tuple without leading
 axes is the batch-free case of the same code.  The per-matrix `commutator`,
@@ -29,13 +30,13 @@ class AsymmetricMatrixError(ValueError):
     """Input matrix deviates from symmetry beyond the hard tolerance."""
 
 
-def as_symmetric(a, warn_tol=SYMMETRIZE_WARN_TOL, err_tol=SYMMETRIZE_ERR_TOL):
+def as_symmetric(a):
     """Return the symmetrized copy (A + A^T)/2 of a square matrix or a stack (..., n, n).
 
     Raises ValueError on an empty input, a NaN or infinite entry, or a
     symmetrized entry that overflows, and AsymmetricMatrixError if the
-    asymmetry of some matrix exceeds `err_tol` in max-entry norm; warns if
-    it exceeds `warn_tol`.
+    asymmetry of some matrix exceeds SYMMETRIZE_ERR_TOL in max-entry norm;
+    warns if it exceeds SYMMETRIZE_WARN_TOL.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -50,11 +51,11 @@ def as_symmetric(a, warn_tol=SYMMETRIZE_WARN_TOL, err_tol=SYMMETRIZE_ERR_TOL):
             raise ValueError("symmetric part overflows the float range")
         raise ValueError("input has NaN or infinite entries")
     asym = float(np.abs(a - at).max())
-    if asym > err_tol:
+    if asym > SYMMETRIZE_ERR_TOL:
         raise AsymmetricMatrixError(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {err_tol:.1e}"
+            f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRIZE_ERR_TOL:.1e}"
         )
-    if asym > warn_tol:
+    if asym > SYMMETRIZE_WARN_TOL:
         warnings.warn(f"symmetrizing matrix with asymmetry {asym:.3e}")
     return sym
 
@@ -124,12 +125,28 @@ def sum_sq(x, axes):
     return scalar_or_array((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
 
 
+def scale_pow2(mats):
+    """(mats 2^-e, e) per tuple of an (..., m, n, n) stack, with 2^e just above
+    the tuple's largest entry and e of shape (..., 1, 1, 1); e = 0 for a zero tuple.
+
+    Scaling by a power of two is exact, and the scaled entries lie below 1 in
+    magnitude, so their products and sums of squares cannot overflow.
+    """
+    e = np.frexp(np.abs(mats).max(axis=(-3, -2, -1), keepdims=True))[1]
+    return np.ldexp(mats, -e), e
+
+
 def unit_stack(mats):
-    """(mats / |mats|, |mats|^2) per tuple of an (..., m, n, n) stack: each tuple
-    scaled to total norm 1, a zero tuple unscaled."""
-    total = (mats * mats).sum(axis=(-3, -2, -1))
-    scale = np.sqrt(total + (total == 0))  # 1 for a zero tuple
-    return mats / scale[..., None, None, None], scalar_or_array(total)
+    """Each tuple of an (..., m, n, n) stack scaled to total norm 1, a zero tuple
+    unscaled.
+
+    The norm is taken on the tuple of `scale_pow2`, so it neither overflows
+    nor underflows; away from overflow and underflow the result is
+    mats / |mats| bit for bit.
+    """
+    mats = scale_pow2(mats)[0]
+    total = (mats * mats).sum(axis=(-3, -2, -1), keepdims=True)
+    return mats / np.sqrt(total + (total == 0))  # a zero tuple is divided by 1
 
 
 def commutators_and_gram(mats):

@@ -116,7 +116,7 @@ def test_criterion_06_h_umbilical_closed_forms():
             p = lg.HUmbilicalParams(int(rng.integers(2, 9)),
                                     *rng.uniform(-3, 3, size=2))
             lhs, rhs, quartic = lg.h_umbilical_closed(p)
-            mats = cv.traceless_parts(lg.h_umbilical(p)).mats
+            mats = cv.traceless_parts(lg.h_umbilical(p))
             oracle_lhs = sum(
                 2.0 * np.sum(np.square(mats[a] @ mats[b] - mats[b] @ mats[a]))
                 for a in range(p.n) for b in range(a + 1, p.n))

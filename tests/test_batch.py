@@ -128,9 +128,9 @@ def test_sum_sq_of_one_point_is_the_vdot_and_a_float():
 def test_random_shape_set_takes_a_leading_size():
     from ddvv.fuzz import random_shape_set
 
-    s = random_shape_set(4, 3, np.random.default_rng(7), ambient_range=0.5, size=(5,))
+    s = random_shape_set(4, 3, np.random.default_rng(7), size=(5,))
     assert s.ops.shape == (5, 3, 4, 4) and s.ambient_c.shape == (5,)
-    assert np.all(np.abs(s.ambient_c) <= 0.5)
+    assert np.all((-1.0 <= s.ambient_c) & (s.ambient_c < 1.0))
     np.testing.assert_allclose(mc.sum_sq(s.ops, 3), 1.0, rtol=1e-15)
     given = random_shape_set(4, 3, np.random.default_rng(7), size=(5,), ambient_c=0.25)
     np.testing.assert_array_equal(given.ops, s.ops)

@@ -125,6 +125,15 @@ def test_check_overflow_prints_one_error_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
+def test_check_traceless_overflow_is_an_input_error(tmp_path, capsys):
+    # the operators pass validation, but their traces overflow
+    p = tmp_path / "huge.json"
+    write_doc(p, {"n": 3, "m": 1, "shape_operators": [(8e307 * np.eye(3)).tolist()]})
+    assert cli.main(["check", "--input", str(p)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
 def test_check_malformed_json(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{not json", encoding="utf-8")

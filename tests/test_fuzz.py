@@ -52,7 +52,7 @@ def test_an_oracle_on_the_traceless_parts_fails(monkeypatch):
     original = curvature.rho_direct
 
     def on_traceless_parts(s):
-        return original(ShapeOperatorSet(curvature.traceless_parts(s).mats, s.ambient_c))
+        return original(ShapeOperatorSet(curvature.traceless_parts(s), s.ambient_c))
 
     monkeypatch.setattr(curvature, "rho_direct", on_traceless_parts)
     summary = fuzz.run_fuzz(4, 3, 100, seed=2)

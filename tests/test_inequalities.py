@@ -163,6 +163,21 @@ def test_ddvv_equality_where_the_sides_underflow():
     assert ineq.ddvv_check(1e-170 * cdk_tuple(3, 4)).equality
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-165])
+def test_tuple_check_sides_at_extreme_scales(scale):
+    # a sum of squares of the entries overflows at 1e160 and underflows at
+    # 1e-165; the unit stack is taken without one
+    t = random_traceless_stack(3, 4, 5)
+    checks = (ineq.ddvv_check, ineq.lili_check, lambda x: ineq.cdk_check(x[0], x[1]))
+    for check in checks:
+        # ddvv_check's trace test squares entries too; an inf norm passes it, as it should
+        with np.errstate(over="ignore"):
+            want, got = check(t), check(scale * t)
+        assert want.lhs > 0.1
+        assert got.lhs == pytest.approx(want.lhs, rel=1e-12)
+        assert got.rhs == pytest.approx(want.rhs, rel=1e-12)
+
+
 def test_equality_certificate_on_rotated_cdk_pairs():
     for n in range(2, 9):
         for m in range(2, 9):
@@ -411,7 +426,7 @@ def test_lili_sides_where_n_times_norm_sq_overflows(scale):
     # n |A|^2 overflows above |A|^2 of about DBL_MAX / n while |A|^2 and
     # |b|^2 stay finite; the mean-curvature term must stay in the Gram matrix
     g = np.random.default_rng(67).standard_normal((3, 4, 4))
-    parts = traceless_parts(ShapeOperatorSet(g + g.transpose(0, 2, 1))).mats
+    parts = traceless_parts(ShapeOperatorSet(g + g.transpose(0, 2, 1)))
     s = ShapeOperatorSet(scale * (parts + np.array([1.0, -2.0, 0.5])[:, None, None] * np.eye(4)))
     lili, want = ineq.point_checks(s)[1][-1], ineq.lili_check(s.ops)
     assert lili.lhs == pytest.approx(want.lhs, rel=1e-13)
