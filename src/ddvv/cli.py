@@ -250,42 +250,42 @@ def cmd_search(args):
     return 0
 
 
-def _h_umbilical_forms(p, inv):
-    lhs, rhs, quartic = lagrangian.h_umbilical_closed(p)
+def _h_umbilical_forms(inv, n, lam, mu):
+    lhs, rhs, quartic = lagrangian.h_umbilical_closed(n, lam, mu)
     # the oracles are the commutator sum and |b|^4 of the traceless parts
     return {"lhs": lhs, "rhs": rhs, "quartic": quartic,
-            "oracle_lhs": (p.n * (p.n - 1) * inv.rho_perp) ** 2, "oracle_rhs": inv.b_sq**2}
+            "oracle_lhs": (n * (n - 1) * inv.rho_perp) ** 2, "oracle_rhs": inv.b_sq**2}
 
 
-def _c3_forms(p, inv):
-    three_rho, nine_rp_sq = lagrangian.c3_closed(p)
+def _c3_forms(inv, *p):
+    three_rho, nine_rp_sq = lagrangian.c3_closed(*p)
     return {"three_rho": three_rho, "nine_rho_perp_sq": nine_rp_sq,
             "oracle_rho": inv.rho, "oracle_rho_perp": inv.rho_perp}
 
 
-def _c4_forms(p, inv):
-    six_rho, thirtysix = lagrangian.c4_closed(p)
+def _c4_forms(inv, *p):
+    six_rho, thirtysix = lagrangian.c4_closed(*p)
     return {"six_rho": six_rho, "thirtysix_rho_perp_sq": thirtysix,
             "oracle_rho": inv.rho, "oracle_rho_perp": inv.rho_perp}
 
 
-# family -> (parameters from args, shape set from the parameters, closed-form
-#            record from the parameters and the invariants, label of its bound)
+# family -> (parameter tuple from args, shape set from the parameters, closed-form
+#            record from the invariants and the parameters, label of its bound)
 FAMILIES = {
     "h-umbilical": (
-        lambda args: lagrangian.HUmbilicalParams(n=args.n, lam=args.lam, mu=args.mu),
+        lambda args: (args.n, args.lam, args.mu),
         lagrangian.h_umbilical, _h_umbilical_forms, "h-umbilical-bound"),
     "minimal-c3": (
-        lambda args: lagrangian.C3Params(a=args.a, b=args.b, c=args.c, d=args.d),
+        lambda args: (args.a, args.b, args.c, args.d),
         lagrangian.minimal_lagrangian_c3, _c3_forms, "minimal-c3-bound"),
     "s3-equality": (
-        lambda args: lagrangian.C3Params(a=args.a, b=0.0, c=0.0, d=0.0),
-        lambda p: lagrangian.s3_equality_form(p.a), _c3_forms, "minimal-c3-bound"),
+        lambda args: (args.a, 0.0, 0.0, 0.0),
+        lambda a, b, c, d: lagrangian.s3_equality_form(a), _c3_forms, "minimal-c3-bound"),
     "ultraminimal-c4": (
-        lambda args: lagrangian.C4BlockParams(a=args.a, b=args.b, c=args.c, d=args.d),
+        lambda args: (args.a, args.b, args.c, args.d),
         lagrangian.ultraminimal_c4_22, _c4_forms, "ultraminimal-c4-bound"),
     "eq51": (
-        lambda args: lagrangian.C4BlockParams(a=args.a, b=args.b, c=0.0, d=0.0),
+        lambda args: (args.a, args.b, 0.0, 0.0),
         lagrangian.ultraminimal_c4_22, _c4_forms, "ultraminimal-c4-bound"),
 }
 
@@ -295,7 +295,7 @@ def cmd_family(args):
     tol = args.tol
     try:
         p = params(args)
-        s = shape_set(p)
+        s = shape_set(*p)
         inv = curvature.invariants(s)
         # rho <= |H|^2 - rho_perp + c, with the tolerance of the point's degree-2 scale
         checks = [inequalities._bound(
@@ -312,7 +312,7 @@ def cmd_family(args):
     report.update({
         "input": shape_set_to_document(s, label=args.family),
         "invariants": inv.as_dict(),
-        "closed_forms": closed_forms(p, inv),
+        "closed_forms": closed_forms(inv, *p),
         "checks": [c.as_dict() for c in checks],
     })
     write_json(report, args.output)
@@ -411,6 +411,9 @@ def main(argv=None):
             return globals()[f"cmd_{args.command}"](args)
     except OSError as e:  # each command reports an unreadable input itself
         print(f"output error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # arrays too large for the available memory, as at --n 100000
+        print(f"input error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

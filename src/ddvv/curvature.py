@@ -66,9 +66,14 @@ class ShapeOperatorSet:
 
 
 def _relative_traces(mats):
-    """|tr B_a| / max(1, |B_a|) for each matrix of an (..., m, n, n) stack."""
-    norms = np.sqrt((mats * mats).sum(axis=(-2, -1)))
-    return np.abs(mats.trace(axis1=-2, axis2=-1)) / np.maximum(1.0, norms)
+    """|tr B_a| / max(1, |B_a|) for each matrix of an (..., m, n, n) stack.
+
+    A squared norm that overflows reads inf, which passes the trace test;
+    the overflow raises no floating-point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt((mats * mats).sum(axis=(-2, -1)))
+        return np.abs(mats.trace(axis1=-2, axis2=-1)) / np.maximum(1.0, norms)
 
 
 @dataclass(frozen=True)

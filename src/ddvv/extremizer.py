@@ -20,8 +20,11 @@ from .matrix_core import traceless_project
 
 VIOLATION_THRESHOLD = 1.0 + 1e-6
 STOP_REASONS = ("grad_tol", "line_search", "max_iters")
-RUNNING, GRAD_TOL, LINE_SEARCH, MAX_ITERS = -1, 0, 1, 2  # `ascend`: RUNNING or a STOP_REASONS index
+RUNNING, STOP_GRAD_TOL, STOP_LINE_SEARCH, STOP_MAX_ITERS = -1, 0, 1, 2  # STOP_REASONS indices
 MIN_STEP = 1e-18
+STEP_INIT = 0.1  # the first step of every restart
+STEP_SHRINK = 0.5  # a rejected step is multiplied by this
+GRAD_TOL = 1e-10  # stop once the Riemannian gradient norm is at most this
 STEP_GROWTH = 1.1  # a new iteration first tries the last accepted step times this
 ARMIJO_SIGMA = 1e-4  # accept a gain of at least this times the predicted gain t |g|^2
 FLOOR_ULPS = 8.0  # stop once t |g|^2 <= FLOOR_ULPS eps max(1, |f|), the rounding floor
@@ -44,9 +47,6 @@ class SearchConfig:
     m: int
     restarts: int = 64
     max_iters: int = 5000
-    step_init: float = 0.1
-    step_shrink: float = 0.5
-    grad_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -56,16 +56,13 @@ class SearchConfig:
             raise ValueError("need n >= 2 and m >= 1")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
-        if not (np.isfinite(self.step_init) and self.step_init > 0) or not (0 < self.step_shrink < 1):
-            raise ValueError("bad step parameters")
-        if not (np.isfinite(self.grad_tol) and self.grad_tol >= 0):
-            raise ValueError("grad_tol must be finite and >= 0")
 
     def as_dict(self):
+        """The settings of a search, the module's step and stop constants included."""
         return {
             "n": self.n, "m": self.m, "restarts": self.restarts,
-            "max_iters": self.max_iters, "step_init": self.step_init,
-            "step_shrink": self.step_shrink, "grad_tol": self.grad_tol,
+            "max_iters": self.max_iters, "step_init": STEP_INIT,
+            "step_shrink": STEP_SHRINK, "grad_tol": GRAD_TOL,
             "seed": self.seed,
         }
 
@@ -215,16 +212,15 @@ def _evaluate(mats):
     return np.maximum(radial / 4.0, 0.0), g, _inner(g, g)
 
 
-def ascend(config: SearchConfig, start):
-    """Projected gradient ascent with an Armijo step from one start or a stack.
+def ascend(config: SearchConfig, starts):
+    """Projected gradient ascent with an Armijo step from R starts (R, m, n, n).
 
-    `start` is one tuple (m, n, n) or R independent starts (R, m, n, n).
     Every restart runs the same algorithm.  Each restart remembers its last
     accepted step t; a new iteration first tries STEP_GROWTH t (the first
-    iteration tries `step_init`) and shrinks the step by `step_shrink` until
+    iteration tries STEP_INIT) and shrinks the step by STEP_SHRINK until
     the renormalized candidate raises the value by at least
     ARMIJO_SIGMA t |g|^2, with g the Riemannian gradient.  A restart stops
-    at `grad_tol`; with `line_search` once the predicted gain t |g|^2 falls
+    at GRAD_TOL; with `line_search` once the predicted gain t |g|^2 falls
     to the rounding floor FLOOR_ULPS eps max(1, |f|) of the objective, or
     the step to MIN_STEP; or after `max_iters` iterations.  Iterates stay on
     the sphere and the objective never decreases between accepted iterates.
@@ -242,27 +238,23 @@ def ascend(config: SearchConfig, start):
     symmetric and traceless to rounding, so it is only rescaled to the
     sphere, not projected again.
 
-    Returns (values, tuples, outcomes): for one start a float, an
-    (m, n, n) array and a RestartOutcome; for a stack an (R,) array, an
-    (R, m, n, n) array and a list of R outcomes.
+    Returns (values, tuples, outcomes): an (R,) array, an (R, m, n, n)
+    array and a list of R RestartOutcomes.
     """
-    x = normalize(start)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
+    x = normalize(starts)
     value, rgrad, gain = _evaluate(x)
     r = len(x)
     # the working arrays hold the running restarts only; `row` maps them back
     row = np.arange(r)
     final_value, final_x = np.empty(r), np.empty_like(x)
     final_iters, final_stop = np.empty(r, dtype=int), np.empty(r, dtype=int)
-    step = np.full(r, config.step_init)  # the next step each restart tries
+    step = np.full(r, STEP_INIT)  # the next step each restart tries
     iters = np.ones(r, dtype=int)
-    stop = np.where(np.sqrt(gain) <= config.grad_tol, GRAD_TOL, RUNNING)
+    stop = np.where(np.sqrt(gain) <= GRAD_TOL, STOP_GRAD_TOL, RUNNING)
     floor = FLOOR_ULPS * np.finfo(float).eps
     while True:
         stalled = (step * gain <= floor * np.maximum(1.0, np.abs(value))) | (step <= MIN_STEP)
-        stop[(stop == RUNNING) & stalled] = LINE_SEARCH
+        stop[(stop == RUNNING) & stalled] = STOP_LINE_SEARCH
         done = stop != RUNNING
         if done.any():  # retire the stopped restarts from the working arrays
             k = row[done]
@@ -279,21 +271,19 @@ def ascend(config: SearchConfig, start):
         cand /= np.sqrt(_inner(cand, cand))[:, None, None, None]  # as `normalize`
         cand_value, cand_rgrad, cand_gain = _evaluate(cand)
         up = cand_value >= value + ARMIJO_SIGMA * step * gain
-        step *= np.where(up, STEP_GROWTH, config.step_shrink)
+        step *= np.where(up, STEP_GROWTH, STEP_SHRINK)
         down = ~up
         if down.any():  # a rejected restart keeps its iterate
             cand[down], cand_value[down] = x[down], value[down]
             cand_rgrad[down], cand_gain[down] = rgrad[down], gain[down]
         x, value, rgrad, gain = cand, cand_value, cand_rgrad, cand_gain
         out_of_iters = iters >= config.max_iters
-        stop[up & out_of_iters] = MAX_ITERS
+        stop[up & out_of_iters] = STOP_MAX_ITERS
         moved = up & ~out_of_iters  # these start a new iteration
         iters += moved
-        stop[moved & (np.sqrt(gain) <= config.grad_tol)] = GRAD_TOL
+        stop[moved & (np.sqrt(gain) <= GRAD_TOL)] = STOP_GRAD_TOL
     outcomes = [RestartOutcome(value=float(v), iterations=int(k), stop_reason=STOP_REASONS[s])
                 for v, k, s in zip(final_value, final_iters, final_stop)]
-    if single:
-        return float(final_value[0]), final_x[0], outcomes[0]
     return final_value, final_x, outcomes
 
 

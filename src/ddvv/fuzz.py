@@ -19,6 +19,7 @@ from .matrix_core import random_orthogonal, unit_stack
 # Entries of the (B, m, m, n, n) commutator stack of one block of B samples;
 # this bounds the memory of a block, 2^20 entries at (4, 4) being 4096 samples.
 BLOCK_ENTRIES = 2**20
+REL_TOL = 1e-10  # the relative tolerance of the dual-route and invariance properties
 
 
 def random_shape_set(n, m, rng, size=(), ambient_c=None):
@@ -50,7 +51,7 @@ class FuzzSummary:
                 self.failure_labels.append(label)
 
 
-def _block(n, m, size, streams, tol, rel_tol):
+def _block(n, m, size, streams, tol):
     """(label, ok per sample) of every property over `size` new samples.
 
     Each kind of draw has its own stream and takes it sample by sample, so
@@ -65,8 +66,8 @@ def _block(n, m, size, streams, tol, rel_tol):
     inv, checks = inequalities.point_checks(s, tol)
     rho_a = curvature.rho_direct(s)
     rp_a = curvature.rho_perp_direct(s)
-    props = [("rho-dual-route", _rel_err(rho_a, inv.rho) <= rel_tol),
-             ("rho-perp-dual-route", _rel_err(rp_a, inv.rho_perp) <= rel_tol)]
+    props = [("rho-dual-route", _rel_err(rho_a, inv.rho) <= REL_TOL),
+             ("rho-perp-dual-route", _rel_err(rp_a, inv.rho_perp) <= REL_TOL)]
 
     # orthogonal invariance (tangent conjugation and normal mixing)
     o_t = random_orthogonal(n, tangent_rng, (size, 1))
@@ -77,11 +78,11 @@ def _block(n, m, size, streams, tol, rel_tol):
         s.ambient_c)
     for name, other in (("tangent", conj), ("normal", mixed)):
         props += [(f"rho-{name}-invariance",
-                   _rel_err(curvature.rho_direct(other), rho_a) <= rel_tol),
+                   _rel_err(curvature.rho_direct(other), rho_a) <= REL_TOL),
                   (f"rho-perp-{name}-invariance",
-                   _rel_err(curvature.rho_perp_direct(other), rp_a) <= rel_tol)]
+                   _rel_err(curvature.rho_perp_direct(other), rp_a) <= REL_TOL)]
     props.append(("h-sq-normal-invariance",
-                  _rel_err(curvature.mean_curvature_sq(mixed), inv.h_sq) <= rel_tol))
+                  _rel_err(curvature.mean_curvature_sq(mixed), inv.h_sq) <= REL_TOL))
 
     # theorem-status inequalities
     props += [(check.label, check.holds) for check in checks]
@@ -93,7 +94,7 @@ def _block(n, m, size, streams, tol, rel_tol):
     return props
 
 
-def run_fuzz(n, m, samples, seed, tol=1e-9, rel_tol=1e-10):
+def run_fuzz(n, m, samples, seed, tol=inequalities.DEFAULT_TOL):
     """Run the full property suite over seeded random configurations.
 
     Samples are checked in blocks of at most BLOCK_ENTRIES / (mn)^2.  The
@@ -110,7 +111,7 @@ def run_fuzz(n, m, samples, seed, tol=1e-9, rel_tol=1e-10):
     summary = FuzzSummary(samples=samples)
     block = max(1, BLOCK_ENTRIES // (m * n) ** 2)
     for first in range(0, samples, block):
-        props = _block(n, m, min(block, samples - first), streams, tol, rel_tol)
+        props = _block(n, m, min(block, samples - first), streams, tol)
         # a stable sort by first failing sample keeps suite order within one
         for label, ok in sorted(props, key=lambda p: p[1].size if p[1].all() else p[1].argmin()):
             summary.record(ok, label)

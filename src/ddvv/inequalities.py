@@ -6,6 +6,7 @@ equality flag.  Checks on matrix tuples normalize to total norm 1 first
 scales; the curvature checks of a point scale their tolerance with it.
 Every check decides elementwise: a stack of points or tuples, with leading
 axes, gives a CheckResult of arrays; one point gives Python floats and bools.
+A matrix tuple is validated as the operators of a `ShapeOperatorSet`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from . import curvature
 from .curvature import ShapeOperatorSet, _relative_traces
 from .matrix_core import (
-    as_symmetric, commutators_and_gram, scalar_or_array, scale_pow2, sum_sq, traceless_project,
-    unit_stack)
+    commutators_and_gram, scalar_or_array, scale_pow2, sum_sq, traceless_project, unit_stack)
 
 DEFAULT_TOL = 1e-9
 
@@ -66,14 +66,6 @@ def _point_atol(inv, n, tol):
     return tol * (abs(inv.ambient_c) + inv.h_sq + inv.b_sq / (n * (n - 1)))
 
 
-def _as_stack(mats):
-    """Validate an (..., m, n, n) array or nested list of matrices as a symmetric stack."""
-    arr = np.asarray(mats, dtype=float)
-    if arr.ndim < 3:
-        raise ValueError(f"expected (..., m, n, n) matrices, got shape {arr.shape}")
-    return as_symmetric(arr)
-
-
 def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     """Commutator-sum bound for traceless symmetric tuples.
 
@@ -82,7 +74,7 @@ def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     `tol` of `equality_certificate`.  Rejects tuples that are not traceless
     within `tol`.
     """
-    mats = _as_stack(t)
+    mats = ShapeOperatorSet(t).ops
     if np.any(_relative_traces(mats) > tol):
         raise ValueError("ddvv_check requires traceless matrices")
     comm, gram = commutators_and_gram(unit_stack(mats))
@@ -106,7 +98,7 @@ def equality_certificate(t):
     |C_1 C_2 + C_2 C_1| and, on the unit tuple, |(C_1^2)^2 - C_1^2 / 4|.  A
     zero tuple has residual 0; a nonzero one with m = 1 is off the orbit.
     """
-    mats = _as_stack(t)
+    mats = ShapeOperatorSet(t).ops
     m = mats.shape[-3]
     b, e = scale_pow2(mats.reshape(-1, *mats.shape[-3:]))  # one tuple per row
     flat = b.reshape(len(b), m, -1)
@@ -151,7 +143,7 @@ def cdk_check(b1, b2, tol=DEFAULT_TOL) -> CheckResult:
     `b1` and `b2` are two matrices or two (..., n, n) stacks of them, one
     pair per leading index.
     """
-    pairs = _as_stack(np.stack([b1, b2], axis=-3))
+    pairs = ShapeOperatorSet(np.stack([b1, b2], axis=-3)).ops
     comm, gram = commutators_and_gram(unit_stack(pairs))
     lhs = sum_sq(comm[..., 0, 1, :, :], 2)
     return _result(lhs, 2.0 * gram[..., 0, 0] * gram[..., 1, 1], tol, "cdk")
@@ -163,7 +155,7 @@ def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
     Both double sums run over all ordered pairs, including the diagonal
     terms <B_a, B_a>^2 = ||B_a||^4.  Trace-free input is not required.
     """
-    comm, gram = commutators_and_gram(unit_stack(_as_stack(t)))
+    comm, gram = commutators_and_gram(unit_stack(ShapeOperatorSet(t).ops))
     return _lili_sides(sum_sq(comm, 4), gram, tol)
 
 

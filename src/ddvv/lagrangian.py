@@ -9,42 +9,16 @@ coefficient array <h(e_i, e_j), J e_k> is totally symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .curvature import CurvatureInvariants, ShapeOperatorSet, invariants
+from .inequalities import DEFAULT_TOL
 from .matrix_core import scalar_or_array
 
 
-@dataclass(frozen=True)
-class HUmbilicalParams:
-    n: int
-    lam: float
-    mu: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-
-
-@dataclass(frozen=True)
-class C3Params:
-    a: float
-    b: float
-    c: float
-    d: float
-
-
-@dataclass(frozen=True)
-class C4BlockParams:
-    a: float
-    b: float
-    c: float
-    d: float
-
-
-def lagrangian_symmetry_check(s: ShapeOperatorSet, tol=1e-9) -> bool:
+def lagrangian_symmetry_check(s: ShapeOperatorSet, tol=DEFAULT_TOL) -> bool:
     """Total symmetry of C[a, i, j] = (A_a)_ij under all index permutations.
 
     The operators are symmetric in (i, j) already, so swapping the normal
@@ -58,28 +32,28 @@ def lagrangian_symmetry_check(s: ShapeOperatorSet, tol=1e-9) -> bool:
     return defect <= tol * scale
 
 
-def h_umbilical(p: HUmbilicalParams) -> ShapeOperatorSet:
-    """Shape operators of the H-umbilical family.
+def h_umbilical(n, lam, mu) -> ShapeOperatorSet:
+    """Shape operators of the H-umbilical family in complex dimension n >= 2.
 
     A_1 = diag(lam, mu, ..., mu); for j >= 2, A_j has mu in the (1, j) and
     (j, 1) slots and zeros elsewhere.  Flat ambient space.
     """
-    n = p.n
+    if n < 2:
+        raise ValueError("need n >= 2")
     ops = np.zeros((n, n, n))
-    ops[0] = np.diag([p.lam] + [p.mu] * (n - 1))
+    ops[0] = np.diag([lam] + [mu] * (n - 1))
     j = np.arange(1, n)
-    ops[j, 0, j] = ops[j, j, 0] = p.mu
+    ops[j, 0, j] = ops[j, j, 0] = mu
     return ShapeOperatorSet(ops, ambient_c=0.0)
 
 
-def h_umbilical_closed(p: HUmbilicalParams):
+def h_umbilical_closed(n, lam, mu):
     """Closed forms for the two sides of the commutator-sum bound.
 
     Returns (lhs, rhs, quartic): the ordered commutator sum, the squared
     total norm of the traceless parts, and the quartic whose nonnegativity
     is equivalent to lhs <= rhs.
     """
-    n, lam, mu = p.n, p.lam, p.mu
     dl = lam - mu
     lhs = 2.0 * (n - 1) * mu**2 * ((n - 2) * mu**2 + 2.0 * dl**2)
     rhs = (n - 1) ** 2 * (dl**2 / n + 2.0 * mu**2) ** 2
@@ -88,9 +62,8 @@ def h_umbilical_closed(p: HUmbilicalParams):
     return lhs, rhs, quartic
 
 
-def minimal_lagrangian_c3(p: C3Params) -> ShapeOperatorSet:
+def minimal_lagrangian_c3(a, b, c, d) -> ShapeOperatorSet:
     """Shape operators of the minimal family in complex dimension 3."""
-    a, b, c, d = p.a, p.b, p.c, p.d
     ops = np.array([
         [[a + b, 0.0, 0.0],
          [0.0, -a, 0.0],
@@ -105,9 +78,8 @@ def minimal_lagrangian_c3(p: C3Params) -> ShapeOperatorSet:
     return ShapeOperatorSet(ops, ambient_c=0.0)
 
 
-def c3_closed(p: C3Params):
+def c3_closed(a, b, c, d):
     """Closed-form (3 rho, 9 rho_perp^2) for the complex-dimension-3 family."""
-    a, b, c, d = p.a, p.b, p.c, p.d
     three_rho = -2.0 * (a * a + b * b + c * c + d * d) - a * b
     nine_rho_perp_sq = (
         4.0 * (a**4 + b**4 + c**4 + d**4) + 4.0 * a**3 * b + 4.0 * a * b**3
@@ -169,14 +141,13 @@ def csf_bound_rhs(rho: float, c: float) -> float:
     return (rho - c) ** 2 + (2.0 / 3.0) * c * (rho - c) + c * c / 3.0
 
 
-def ultraminimal_c4_22(p: C4BlockParams) -> ShapeOperatorSet:
+def ultraminimal_c4_22(a, b, c, d) -> ShapeOperatorSet:
     """Ultra-minimal 2+2 block operators in complex dimension 4.
 
     The lower block of the fourth operator follows the same rotated pattern
     as the second operator; this is the form consistent with total symmetry
     of the coefficient cube and with the family's closed forms.
     """
-    a, b, c, d = p.a, p.b, p.c, p.d
     z = np.zeros((2, 2))
     top1 = np.array([[a, b], [b, -a]])
     top2 = np.array([[b, -a], [-a, -b]])
@@ -191,9 +162,8 @@ def ultraminimal_c4_22(p: C4BlockParams) -> ShapeOperatorSet:
     return ShapeOperatorSet(ops, ambient_c=0.0)
 
 
-def c4_closed(p: C4BlockParams):
+def c4_closed(a, b, c, d):
     """Closed-form (6 rho, 36 rho_perp^2) for the 2+2 block family."""
-    a, b, c, d = p.a, p.b, p.c, p.d
     six_rho = -2.0 * (a * a + b * b + c * c + d * d)
     thirtysix = 4.0 * ((a * a + b * b) ** 2 + (c * c + d * d) ** 2)
     return six_rho, thirtysix
@@ -201,4 +171,4 @@ def c4_closed(p: C4BlockParams):
 
 def eq_5_1_form(a: float, b: float) -> ShapeOperatorSet:
     """Equality-case operators for the 2+2 block family (lower block zero)."""
-    return ultraminimal_c4_22(C4BlockParams(a=a, b=b, c=0.0, d=0.0))
+    return ultraminimal_c4_22(a, b, 0.0, 0.0)

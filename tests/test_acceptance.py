@@ -13,6 +13,7 @@ import pytest
 from ddvv import cli
 from ddvv import curvature as cv
 from ddvv import extremizer as ex
+from ddvv import fuzz
 from ddvv import inequalities as ineq
 from ddvv import lagrangian as lg
 from ddvv.curvature import ShapeOperatorSet
@@ -96,10 +97,11 @@ def test_criterion_04_weak_constants():
 
 def test_criterion_05_dual_route_and_invariance_suite():
     with criterion(5, "dual-route agreement and invariances over 10^3 configs"):
+        assert fuzz.REL_TOL == 1e-10  # the relative tolerance of every property
         total = 0
         for n in range(2, 7):
             for m in range(1, 7):
-                summary = run_fuzz(n, m, 40, seed=271828, rel_tol=1e-10)
+                summary = run_fuzz(n, m, 40, seed=271828)
                 assert summary.hard_failures == 0
                 total += summary.samples
         assert total >= 1000
@@ -107,19 +109,19 @@ def test_criterion_05_dual_route_and_invariance_suite():
 
 def test_criterion_06_h_umbilical_closed_forms():
     with criterion(6, "closed forms of the two-parameter umbilical family"):
-        lhs, rhs, quartic = lg.h_umbilical_closed(lg.HUmbilicalParams(3, 3.0, 1.0))
+        lhs, rhs, quartic = lg.h_umbilical_closed(3, 3.0, 1.0)
         assert lhs == pytest.approx(36.0, abs=1e-12)
         assert rhs == pytest.approx(400.0 / 9.0, abs=1e-12)
         assert quartic == pytest.approx(38.0 / 9.0, abs=1e-12)
         rng = np.random.default_rng(161803)
         for _ in range(1000):
-            p = lg.HUmbilicalParams(int(rng.integers(2, 9)),
-                                    *rng.uniform(-3, 3, size=2))
-            lhs, rhs, quartic = lg.h_umbilical_closed(p)
-            mats = cv.traceless_parts(lg.h_umbilical(p))
+            n = int(rng.integers(2, 9))
+            lam, mu = rng.uniform(-3, 3, size=2)
+            lhs, rhs, quartic = lg.h_umbilical_closed(n, lam, mu)
+            mats = cv.traceless_parts(lg.h_umbilical(n, lam, mu))
             oracle_lhs = sum(
                 2.0 * np.sum(np.square(mats[a] @ mats[b] - mats[b] @ mats[a]))
-                for a in range(p.n) for b in range(a + 1, p.n))
+                for a in range(n) for b in range(a + 1, n))
             oracle_rhs = float(np.sum(mats * mats)) ** 2
             assert rel_err(lhs, oracle_lhs) <= 1e-10
             assert rel_err(rhs, oracle_rhs) <= 1e-10
@@ -130,9 +132,9 @@ def test_criterion_07_c3_family():
     with criterion(7, "cubic-dimension minimal family closed forms and bound"):
         rng = np.random.default_rng(662607)
         for _ in range(1000):
-            p = lg.C3Params(*rng.uniform(-2, 2, size=4))
-            three_rho, nine_rp_sq = lg.c3_closed(p)
-            inv = cv.invariants(lg.minimal_lagrangian_c3(p))
+            p = rng.uniform(-2, 2, size=4)
+            three_rho, nine_rp_sq = lg.c3_closed(*p)
+            inv = cv.invariants(lg.minimal_lagrangian_c3(*p))
             assert rel_err(three_rho, 3 * inv.rho) <= 1e-10
             assert rel_err(nine_rp_sq, 9 * inv.rho_perp**2) <= 1e-10
             assert nine_rp_sq <= 9 * inv.rho**2 + 1e-9 * max(1.0, inv.rho**2)
@@ -140,11 +142,11 @@ def test_criterion_07_c3_family():
         for _ in range(300):
             raw = rng.uniform(-2, 2, size=4)
             raw /= np.linalg.norm(raw)
-            p = lg.C3Params(*raw)
-            inv = cv.invariants(lg.minimal_lagrangian_c3(p))
+            a, b, c, d = raw
+            inv = cv.invariants(lg.minimal_lagrangian_c3(a, b, c, d))
             equality = abs(inv.rho + inv.rho_perp) <= 1e-9
-            structural = (abs(p.c) <= 1e-9 and abs(p.d) <= 1e-9
-                          and abs(p.a * p.b) <= 1e-9)
+            structural = (abs(c) <= 1e-9 and abs(d) <= 1e-9
+                          and abs(a * b) <= 1e-9)
             assert equality == structural
         for a in (0.0, 1.0, -1.7):
             assert abs(cv.invariants(lg.s3_equality_form(a)).slack) <= 1e-12
@@ -154,16 +156,16 @@ def test_criterion_08_c4_family():
     with criterion(8, "block family closed forms, spot values and equality"):
         rng = np.random.default_rng(137035)
         for _ in range(1000):
-            p = lg.C4BlockParams(*rng.uniform(-2, 2, size=4))
-            six_rho, thirtysix = lg.c4_closed(p)
-            inv = cv.invariants(lg.ultraminimal_c4_22(p))
+            p = rng.uniform(-2, 2, size=4)
+            six_rho, thirtysix = lg.c4_closed(*p)
+            inv = cv.invariants(lg.ultraminimal_c4_22(*p))
             assert rel_err(six_rho, 6 * inv.rho) <= 1e-10
             assert rel_err(thirtysix, 36 * inv.rho_perp**2) <= 1e-10
-        assert lg.c4_closed(lg.C4BlockParams(1, 1, 0, 0)) == (-4.0, 16.0)
-        inv = cv.invariants(lg.ultraminimal_c4_22(lg.C4BlockParams(1, 1, 0, 0)))
+        assert lg.c4_closed(1, 1, 0, 0) == (-4.0, 16.0)
+        inv = cv.invariants(lg.ultraminimal_c4_22(1, 1, 0, 0))
         assert abs(inv.rho + inv.rho_perp) <= 1e-12
-        assert lg.c4_closed(lg.C4BlockParams(1, 0, 1, 0)) == (-4.0, 8.0)
-        inv = cv.invariants(lg.ultraminimal_c4_22(lg.C4BlockParams(1, 0, 1, 0)))
+        assert lg.c4_closed(1, 0, 1, 0) == (-4.0, 8.0)
+        inv = cv.invariants(lg.ultraminimal_c4_22(1, 0, 1, 0))
         assert inv.rho < -inv.rho_perp - 1e-6
         for a, b in ((1.0, 0.0), (0.4, -1.1)):
             assert abs(cv.invariants(lg.eq_5_1_form(a, b)).slack) <= 1e-12
@@ -173,8 +175,7 @@ def test_criterion_09_complex_space_form():
     with criterion(9, "ambient holomorphic-curvature variant of the invariants"):
         rng = np.random.default_rng(602214)
         for _ in range(200):
-            p = lg.C3Params(*rng.standard_normal(4))
-            s = lg.minimal_lagrangian_c3(p)
+            s = lg.minimal_lagrangian_c3(*rng.standard_normal(4))
             flat = cv.invariants(s)
             csf = lg.csf_invariants(s, 0.0)
             assert abs(csf.rho - flat.rho) <= 1e-14
@@ -183,9 +184,9 @@ def test_criterion_09_complex_space_form():
         assert abs(csf.rho_perp**2 - 1.0 / 3.0) <= 1e-12
         assert abs(lg.csf_bound_rhs(csf.rho, 1.0) - 1.0 / 3.0) <= 1e-12
         for _ in range(1000):
-            p = lg.C3Params(*rng.uniform(-2, 2, size=4))
+            p = rng.uniform(-2, 2, size=4)
             c = float(rng.uniform(-2, 2))
-            csf = lg.csf_invariants(lg.minimal_lagrangian_c3(p), c)
+            csf = lg.csf_invariants(lg.minimal_lagrangian_c3(*p), c)
             bound = lg.csf_bound_rhs(csf.rho, c)
             assert csf.rho_perp**2 <= bound + 1e-9 * max(1.0, abs(bound))
 

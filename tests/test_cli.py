@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddvv import cli
+from ddvv import cli, extremizer
 
 
 def write_doc(path, doc):
@@ -212,6 +212,28 @@ def test_family_closed_forms_match_oracle(tmp_path):
     assert closed["three_rho"] == pytest.approx(-5.0)
     assert closed["nine_rho_perp_sq"] == pytest.approx(19.0)
     assert closed["oracle_rho"] == pytest.approx(-5.0 / 3.0)
+
+
+def test_family_h_umbilical_n1_is_an_input_error(capsys):
+    assert cli.main(["family", "h-umbilical", "--n", "1"]) == 1
+    assert capsys.readouterr().err == "input error: need n >= 2\n"
+
+
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 72.8 PiB for an array")
+
+
+@pytest.mark.parametrize("argv", [["family", "h-umbilical", "--n", "3"],
+                                  ["search", "--n", "3", "--m", "2", "--restarts", "1"]])
+def test_out_of_memory_is_an_input_error(argv, monkeypatch, capsys):
+    # the constructors stand in for an allocation too large for the available memory
+    monkeypatch.setitem(cli.FAMILIES, "h-umbilical",
+                        (lambda args: (), _out_of_memory, None, "h-umbilical-bound"))
+    monkeypatch.setattr(extremizer, "_restart_start", _out_of_memory)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: out of memory: Unable to allocate 72.8 PiB for an array\n"
 
 
 def test_family_unknown_rejected():

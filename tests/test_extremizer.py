@@ -78,7 +78,7 @@ def test_riemannian_gradient_vanishes_at_cdk():
 def test_ascend_monotone_and_on_sphere():
     config = ex.SearchConfig(n=3, m=2, max_iters=200, seed=0)
     start = random_tuple(2, 3, 44)
-    value, x, outcome = ex.ascend(config, start)
+    (value,), (x,), _ = ex.ascend(config, start[None])
     assert value >= ex.objective(ex.normalize(start)) - 1e-15
     assert np.sum(x * x) == pytest.approx(1.0, abs=1e-12)
     assert value == pytest.approx(ex.objective(x), abs=1e-12)
@@ -125,25 +125,28 @@ def test_search_config_validation():
         ex.SearchConfig(n=1, m=2)
     with pytest.raises(ValueError):
         ex.SearchConfig(n=2, m=2, restarts=0)
-    with pytest.raises(ValueError):
-        ex.SearchConfig(n=2, m=2, step_shrink=1.5)
-    # a NaN or infinite step_init never accepts a candidate and no stop rule fires
-    for bad in (float("nan"), float("inf"), -1.0):
-        with pytest.raises(ValueError):
-            ex.SearchConfig(n=3, m=2, step_init=bad)
-        with pytest.raises(ValueError):
-            ex.SearchConfig(n=3, m=2, grad_tol=bad)
-    assert ex.SearchConfig(n=3, m=2, grad_tol=0.0).grad_tol == 0.0
+    # the step and stop settings are module constants, not fields
+    for name in ("step_init", "step_shrink", "grad_tol"):
+        with pytest.raises(TypeError):
+            ex.SearchConfig(n=3, m=2, **{name: 0.2})
+
+
+def test_search_config_as_dict_writes_the_constants():
+    # a search report's config block and the search benchmark's input digest
+    config = ex.SearchConfig(n=6, m=6, restarts=8, seed=1)
+    assert list(config.as_dict().items()) == [
+        ("n", 6), ("m", 6), ("restarts", 8), ("max_iters", 5000),
+        ("step_init", 0.1), ("step_shrink", 0.5), ("grad_tol", 1e-10), ("seed", 1)]
 
 
 def test_stop_reasons():
     config = ex.SearchConfig(n=2, m=2, seed=0)
-    _, _, outcome = ex.ascend(config, cdk_tuple())
+    _, _, (outcome,) = ex.ascend(config, cdk_tuple()[None])
     assert (outcome.stop_reason, outcome.iterations, outcome.converged) == ("grad_tol", 1, True)
     start = random_tuple(3, 3, 8)
-    _, _, outcome = ex.ascend(ex.SearchConfig(n=3, m=3, max_iters=1), start)
+    _, _, (outcome,) = ex.ascend(ex.SearchConfig(n=3, m=3, max_iters=1), start[None])
     assert (outcome.stop_reason, outcome.iterations, outcome.converged) == ("max_iters", 1, False)
-    _, _, outcome = ex.ascend(ex.SearchConfig(n=3, m=3), start)
+    _, _, (outcome,) = ex.ascend(ex.SearchConfig(n=3, m=3), start[None])
     assert outcome.stop_reason == "line_search" and outcome.converged
     assert 1 < outcome.iterations < 5000
 
@@ -161,7 +164,7 @@ def test_multistart_restarts_match_single_ascents():
     config = ex.SearchConfig(n=4, m=3, restarts=8, seed=17)
     report = ex.multistart(config)
     for k, outcome in enumerate(report.per_restart):
-        value, _, _ = ex.ascend(config, ex._restart_start(config, k))
+        (value,), _, _ = ex.ascend(config, ex._restart_start(config, k)[None])
         assert outcome.value == pytest.approx(value, abs=1e-12)
 
 
@@ -197,7 +200,7 @@ def test_multistart_skips_zero_start(monkeypatch):
     report = ex.multistart(config)
     assert len(report.per_restart) == 2
     for outcome, k in zip(report.per_restart, (0, 2)):
-        value, _, _ = ex.ascend(config, original(config, k))
+        (value,), _, _ = ex.ascend(config, original(config, k)[None])
         assert outcome.value == pytest.approx(value, abs=1e-12)
 
 
@@ -224,11 +227,11 @@ def test_ascend_from_a_maximizer_stops_at_once(monkeypatch):
     rows, original = [], ex._products
 
     def counted(mats):
-        rows.append(len(mats) if mats.ndim == 4 else 1)
+        rows.append(len(mats))
         return original(mats)
 
     monkeypatch.setattr(ex, "_products", counted)
-    value, _, outcome = ex.ascend(config, best)
+    (value,), _, (outcome,) = ex.ascend(config, best[None])
     assert outcome.stop_reason in ("grad_tol", "line_search")
     assert sum(rows) - 1 <= 2  # the first call evaluates the start itself
     assert value == pytest.approx(1.0, abs=1e-9)

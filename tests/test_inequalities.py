@@ -80,6 +80,12 @@ def test_ddvv_rejects_nonzero_trace():
         ineq.ddvv_check(np.eye(3)[None])
 
 
+def test_tuple_checks_need_n_at_least_2():
+    # tuples are validated as the operators of a ShapeOperatorSet
+    with pytest.raises(ValueError, match="tangent dimension"):
+        ineq.ddvv_check(np.zeros((1, 1, 1)))
+
+
 def test_ddvv_verdict_invariances():
     # a random tuple, the CDK pair and a point just off its orbit
     for mats in (random_traceless_stack(3, 4, 0), cdk_tuple(3, 4), near_orbit()):
@@ -163,6 +169,7 @@ def test_ddvv_equality_where_the_sides_underflow():
     assert ineq.ddvv_check(1e-170 * cdk_tuple(3, 4)).equality
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e160, 1e-165])
 def test_tuple_check_sides_at_extreme_scales(scale):
     # a sum of squares of the entries overflows at 1e160 and underflows at
@@ -170,9 +177,9 @@ def test_tuple_check_sides_at_extreme_scales(scale):
     t = random_traceless_stack(3, 4, 5)
     checks = (ineq.ddvv_check, ineq.lili_check, lambda x: ineq.cdk_check(x[0], x[1]))
     for check in checks:
-        # ddvv_check's trace test squares entries too; an inf norm passes it, as it should
-        with np.errstate(over="ignore"):
-            want, got = check(t), check(scale * t)
+        # ddvv_check's trace test squares entries too; an inf norm passes it,
+        # and no overflow warning escapes
+        want, got = check(t), check(scale * t)
         assert want.lhs > 0.1
         assert got.lhs == pytest.approx(want.lhs, rel=1e-12)
         assert got.rhs == pytest.approx(want.rhs, rel=1e-12)

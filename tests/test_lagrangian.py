@@ -23,11 +23,11 @@ def commutator_sum_sq(mats):
 
 def test_symmetry_check_families():
     assert lg.lagrangian_symmetry_check(
-        lg.h_umbilical(lg.HUmbilicalParams(n=4, lam=1.3, mu=-0.7)))
+        lg.h_umbilical(4, 1.3, -0.7))
     assert lg.lagrangian_symmetry_check(
-        lg.minimal_lagrangian_c3(lg.C3Params(0.2, -1.1, 0.5, 2.0)))
+        lg.minimal_lagrangian_c3(0.2, -1.1, 0.5, 2.0))
     assert lg.lagrangian_symmetry_check(
-        lg.ultraminimal_c4_22(lg.C4BlockParams(1.0, 0.3, -0.8, 0.6)))
+        lg.ultraminimal_c4_22(1.0, 0.3, -0.8, 0.6))
 
 
 def test_symmetry_check_generic_failure_and_dim_guard():
@@ -41,25 +41,30 @@ def test_symmetry_check_generic_failure_and_dim_guard():
 
 
 def test_h_umbilical_structure():
-    p = lg.HUmbilicalParams(n=4, lam=2.0, mu=0.5)
-    s = lg.h_umbilical(p)
+    lam, mu = 2.0, 0.5
+    s = lg.h_umbilical(4, lam, mu)
     assert s.n == s.m == 4
-    assert np.trace(s.ops[0]) == pytest.approx(p.lam + 3 * p.mu)
+    assert np.trace(s.ops[0]) == pytest.approx(lam + 3 * mu)
     for j in range(1, 4):
         assert np.trace(s.ops[j]) == 0.0
-    zero = lg.h_umbilical(lg.HUmbilicalParams(n=3, lam=0.0, mu=0.0))
+    zero = lg.h_umbilical(3, 0.0, 0.0)
     assert np.all(zero.ops == 0.0)
 
 
+def test_h_umbilical_needs_n_at_least_2():
+    with pytest.raises(ValueError, match="n >= 2"):
+        lg.h_umbilical(1, 0.0, 1.0)
+
+
 def test_h_umbilical_mean_curvature():
-    p = lg.HUmbilicalParams(n=5, lam=1.7, mu=-0.3)
-    s = lg.h_umbilical(p)
-    expected = ((p.lam + 4 * p.mu) / 5.0) ** 2
+    lam, mu = 1.7, -0.3
+    s = lg.h_umbilical(5, lam, mu)
+    expected = ((lam + 4 * mu) / 5.0) ** 2
     assert cv.mean_curvature_sq(s) == pytest.approx(expected, rel=1e-12)
 
 
 def test_h_umbilical_closed_spot_value():
-    lhs, rhs, quartic = lg.h_umbilical_closed(lg.HUmbilicalParams(3, 3.0, 1.0))
+    lhs, rhs, quartic = lg.h_umbilical_closed(3, 3.0, 1.0)
     assert lhs == pytest.approx(36.0)
     assert rhs == pytest.approx(400.0 / 9.0)
     assert quartic == pytest.approx(38.0 / 9.0)
@@ -67,7 +72,7 @@ def test_h_umbilical_closed_spot_value():
 
 def test_h_umbilical_quartic_lambda_equals_mu():
     for n in range(2, 9):
-        _, _, quartic = lg.h_umbilical_closed(lg.HUmbilicalParams(n, 0.8, 0.8))
+        _, _, quartic = lg.h_umbilical_closed(n, 0.8, 0.8)
         assert quartic == pytest.approx(2 * n * 0.8**4, rel=1e-12)
 
 
@@ -76,9 +81,8 @@ def test_h_umbilical_oracle_and_theorem_fuzz():
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         lam, mu = rng.uniform(-3, 3, size=2)
-        p = lg.HUmbilicalParams(n, lam, mu)
-        lhs, rhs, quartic = lg.h_umbilical_closed(p)
-        s = lg.h_umbilical(p)
+        lhs, rhs, quartic = lg.h_umbilical_closed(n, lam, mu)
+        s = lg.h_umbilical(n, lam, mu)
         mats = cv.traceless_parts(s)
         assert rel_err(lhs, commutator_sum_sq(mats)) <= 1e-10
         assert rel_err(rhs, float(np.sum(mats * mats)) ** 2) <= 1e-10
@@ -96,12 +100,12 @@ def test_h_umbilical_slack_zero_only_at_geodesic():
         norm = np.hypot(lam, mu)
         if norm > 0:
             lam, mu = lam / norm, mu / norm
-        s = lg.h_umbilical(lg.HUmbilicalParams(n, lam, mu))
+        s = lg.h_umbilical(n, lam, mu)
         slack = cv.invariants(s).slack
         assert slack >= -1e-12
         if slack <= 1e-9:
             assert abs(lam) + abs(mu) <= 1e-6
-    geo = lg.h_umbilical(lg.HUmbilicalParams(4, 0.0, 0.0))
+    geo = lg.h_umbilical(4, 0.0, 0.0)
     assert cv.invariants(geo).slack == pytest.approx(0.0, abs=1e-15)
 
 
@@ -109,26 +113,26 @@ def test_h_umbilical_slack_zero_only_at_geodesic():
 
 
 def test_c3_structure():
-    zero = lg.minimal_lagrangian_c3(lg.C3Params(0, 0, 0, 0))
+    zero = lg.minimal_lagrangian_c3(0, 0, 0, 0)
     assert np.all(zero.ops == 0.0)
     rng = np.random.default_rng(71)
     for _ in range(20):
-        s = lg.minimal_lagrangian_c3(lg.C3Params(*rng.standard_normal(4)))
+        s = lg.minimal_lagrangian_c3(*rng.standard_normal(4))
         traces = np.trace(s.ops, axis1=1, axis2=2)
         np.testing.assert_allclose(traces, 0.0, atol=1e-14)
 
 
 def test_c3_closed_spot_values():
-    assert lg.c3_closed(lg.C3Params(1, 0, 0, 0)) == (-2.0, 4.0)
-    assert lg.c3_closed(lg.C3Params(1, 1, 0, 0)) == (-5.0, 19.0)
+    assert lg.c3_closed(1, 0, 0, 0) == (-2.0, 4.0)
+    assert lg.c3_closed(1, 1, 0, 0) == (-5.0, 19.0)
 
 
 def test_c3_oracle_and_theorem_fuzz():
     rng = np.random.default_rng(73)
     for _ in range(1000):
-        p = lg.C3Params(*rng.uniform(-2, 2, size=4))
-        three_rho, nine_rp_sq = lg.c3_closed(p)
-        inv = cv.invariants(lg.minimal_lagrangian_c3(p))
+        p = rng.uniform(-2, 2, size=4)
+        three_rho, nine_rp_sq = lg.c3_closed(*p)
+        inv = cv.invariants(lg.minimal_lagrangian_c3(*p))
         assert rel_err(three_rho, 3 * inv.rho) <= 1e-10
         assert rel_err(nine_rp_sq, 9 * inv.rho_perp**2) <= 1e-10
         assert nine_rp_sq <= three_rho**2 + 1e-9 * max(1.0, three_rho**2)
@@ -141,13 +145,13 @@ def test_c3_equality_iff_cd_zero_and_ab_zero():
     for _ in range(300):
         raw = rng.uniform(-2, 2, size=4)
         raw /= np.linalg.norm(raw)
-        p = lg.C3Params(*raw)
-        inv = cv.invariants(lg.minimal_lagrangian_c3(p))
+        a, b, c, d = raw
+        inv = cv.invariants(lg.minimal_lagrangian_c3(a, b, c, d))
         is_equality = abs(inv.rho + inv.rho_perp) <= 1e-9
-        structural = abs(p.c) <= 1e-9 and abs(p.d) <= 1e-9 and abs(p.a * p.b) <= 1e-9
+        structural = abs(c) <= 1e-9 and abs(d) <= 1e-9 and abs(a * b) <= 1e-9
         assert is_equality == structural
     # structural equality params really do give equality
-    inv = cv.invariants(lg.minimal_lagrangian_c3(lg.C3Params(1.3, 0, 0, 0)))
+    inv = cv.invariants(lg.minimal_lagrangian_c3(1.3, 0, 0, 0))
     assert abs(inv.rho + inv.rho_perp) <= 1e-12
 
 
@@ -163,8 +167,7 @@ def test_s3_equality_form_slack():
 def test_csf_reduces_to_flat():
     rng = np.random.default_rng(83)
     for _ in range(100):
-        p = lg.C3Params(*rng.standard_normal(4))
-        s = lg.minimal_lagrangian_c3(p)
+        s = lg.minimal_lagrangian_c3(*rng.standard_normal(4))
         flat = cv.invariants(s)
         csf = lg.csf_invariants(s, 0.0)
         assert abs(csf.rho - flat.rho) <= 1e-14
@@ -176,12 +179,11 @@ def test_csf_matches_the_explicit_ricci_tensor():
     rng = np.random.default_rng(103)
     for k in range(300):
         if k % 3 == 0:
-            s = lg.minimal_lagrangian_c3(lg.C3Params(*rng.uniform(-2, 2, size=4)))
+            s = lg.minimal_lagrangian_c3(*rng.uniform(-2, 2, size=4))
         elif k % 3 == 1:
-            s = lg.ultraminimal_c4_22(lg.C4BlockParams(*rng.uniform(-2, 2, size=4)))
+            s = lg.ultraminimal_c4_22(*rng.uniform(-2, 2, size=4))
         else:
-            s = lg.h_umbilical(lg.HUmbilicalParams(int(rng.integers(2, 7)),
-                                                   *rng.uniform(-2, 2, size=2)))
+            s = lg.h_umbilical(int(rng.integers(2, 7)), *rng.uniform(-2, 2, size=2))
         c = float(rng.uniform(-2, 2))
         n = s.n
         total = 0.0
@@ -209,9 +211,9 @@ def test_csf_totally_geodesic_equality():
 def test_csf_inequality_fuzz():
     rng = np.random.default_rng(89)
     for _ in range(1000):
-        p = lg.C3Params(*rng.uniform(-2, 2, size=4))
+        p = rng.uniform(-2, 2, size=4)
         c = float(rng.uniform(-2, 2))
-        csf = lg.csf_invariants(lg.minimal_lagrangian_c3(p), c)
+        csf = lg.csf_invariants(lg.minimal_lagrangian_c3(*p), c)
         bound = lg.csf_bound_rhs(csf.rho, c)
         assert csf.rho_perp**2 <= bound + 1e-9 * max(1.0, abs(bound))
 
@@ -225,7 +227,7 @@ def test_csf_rejects_non_lagrangian():
 
 
 def test_c4_structure():
-    s = lg.ultraminimal_c4_22(lg.C4BlockParams(1.0, -0.4, 0.7, 0.2))
+    s = lg.ultraminimal_c4_22(1.0, -0.4, 0.7, 0.2)
     traces = np.trace(s.ops, axis1=1, axis2=2)
     np.testing.assert_allclose(traces, 0.0, atol=1e-14)
     # block structure: top pair lives in rows/cols 0-1, bottom pair in 2-3
@@ -234,25 +236,25 @@ def test_c4_structure():
 
 
 def test_c4_closed_spot_values():
-    assert lg.c4_closed(lg.C4BlockParams(1, 1, 0, 0)) == (-4.0, 16.0)
-    assert lg.c4_closed(lg.C4BlockParams(1, 0, 1, 0)) == (-4.0, 8.0)
-    inv = cv.invariants(lg.ultraminimal_c4_22(lg.C4BlockParams(1, 1, 0, 0)))
+    assert lg.c4_closed(1, 1, 0, 0) == (-4.0, 16.0)
+    assert lg.c4_closed(1, 0, 1, 0) == (-4.0, 8.0)
+    inv = cv.invariants(lg.ultraminimal_c4_22(1, 1, 0, 0))
     assert abs(inv.rho + inv.rho_perp) <= 1e-12  # equality case
-    inv = cv.invariants(lg.ultraminimal_c4_22(lg.C4BlockParams(1, 0, 1, 0)))
+    inv = cv.invariants(lg.ultraminimal_c4_22(1, 0, 1, 0))
     assert inv.rho < -inv.rho_perp - 1e-3  # strict
 
 
 def test_c4_oracle_and_theorem_fuzz():
     rng = np.random.default_rng(97)
     for _ in range(1000):
-        p = lg.C4BlockParams(*rng.uniform(-2, 2, size=4))
-        six_rho, thirtysix = lg.c4_closed(p)
-        inv = cv.invariants(lg.ultraminimal_c4_22(p))
+        a, b, c, d = rng.uniform(-2, 2, size=4)
+        six_rho, thirtysix = lg.c4_closed(a, b, c, d)
+        inv = cv.invariants(lg.ultraminimal_c4_22(a, b, c, d))
         assert rel_err(six_rho, 6 * inv.rho) <= 1e-10
         assert rel_err(thirtysix, 36 * inv.rho_perp**2) <= 1e-10
         assert inv.rho <= -inv.rho_perp + 1e-9
-        ab_zero = abs(p.a) <= 1e-12 and abs(p.b) <= 1e-12
-        cd_zero = abs(p.c) <= 1e-12 and abs(p.d) <= 1e-12
+        ab_zero = abs(a) <= 1e-12 and abs(b) <= 1e-12
+        cd_zero = abs(c) <= 1e-12 and abs(d) <= 1e-12
         if ab_zero or cd_zero:
             assert abs(inv.rho + inv.rho_perp) <= 1e-10
 
@@ -268,8 +270,7 @@ def test_c4_31_case_reduces_to_c3():
     # with a zero fourth operator; the bound is unchanged
     rng = np.random.default_rng(101)
     for _ in range(200):
-        p = lg.C3Params(*rng.uniform(-2, 2, size=4))
-        s3 = lg.minimal_lagrangian_c3(p)
+        s3 = lg.minimal_lagrangian_c3(*rng.uniform(-2, 2, size=4))
         ops4 = np.zeros((4, 4, 4))
         ops4[:3, :3, :3] = s3.ops
         s4 = ShapeOperatorSet(ops4)
