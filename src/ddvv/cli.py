@@ -15,7 +15,8 @@ import operator
 import re
 import sys
 import time
-from itertools import chain
+from collections import namedtuple
+from itertools import chain, islice
 
 import numpy as np
 
@@ -155,23 +156,101 @@ def _json_floats(text):
     return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
+def _json_float(x):
+    return _json_floats(float.__repr__(x))
+
+
+def _float_texts(values):
+    """The JSON texts of a list of floats; each distinct value is formatted once."""
+    text = dict.fromkeys(values)
+    for x in text:
+        text[x] = _json_float(x)
+    if 0.0 in text:  # 0.0 and -0.0 are one key with two texts: a zero is spelled anew
+        text[0.0] = None
+        return [text[x] or _json_float(x) for x in values]
+    return list(map(text.__getitem__, values))
+
+
 _encode_str = json.encoder.encode_basestring_ascii
+_BOOL_TEXT = {True: "true", False: "false"}
 # the JSON text of a leaf, by its exact type
 _LEAVES = {
-    float: lambda x: _json_floats(float.__repr__(x)),
+    float: _json_float,
     str: _encode_str,
     int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
+    bool: _BOOL_TEXT.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
+
+# the `check` report of a point: the shape set and label read, its invariants,
+# its checks and its Lagrangian symmetry (None unless m == n)
+_CheckReport = namedtuple("_CheckReport", "s label inv checks lagr")
+_INPUT_INDENT = "    "  # of the members of a report's "input" block
+_INVARIANTS = operator.attrgetter(*curvature._REPORT_FIELDS)
+_SIDES = operator.attrgetter("lhs", "rhs", "tol")
+
+
+@functools.lru_cache(maxsize=64)
+def _check_layout(n, m, labelled, square, count):
+    """The text of a `check` report on a point of m operators n x n, with
+    `count` checks, and a %s for each leaf that varies between points.
+
+    It is `_json_text` of a report whose leaves are such slots, so every
+    other character is what the dict report has.  The echo of the operators
+    has one slot per entry, in the order of `_symmetric_layout`; a label,
+    any JSON value, has one slot for its whole text.
+    """
+    slot = "%s"
+    echo = {"n": n, "m": m, "ambient_c": slot,
+            "shape_operators": np.full((m, n, n), slot, dtype=object).tolist()}
+    if labelled:
+        echo["label"] = slot
+    check = dict.fromkeys(("label", "lhs", "rhs", "holds", "equality", "tol"), slot)
+    report = {
+        "tool_version": __version__, "seed": None, "timestamp": slot,
+        "input": echo,
+        "invariants": dict.fromkeys(curvature._REPORT_FIELDS, slot),
+        "checks": [check] * count,
+        "lagrangian_symmetry": slot if square else None,
+    }
+    return _json_text(report).replace("%", "%%").replace('"%%s"', "%s")
+
+
+def _check_report_text(report):
+    """The text of the dict report of `check` (`_json_text` of it), filled
+    into the layout of its shape in one %."""
+    s, label, inv, checks, lagr = report
+    layout = _check_layout(s.n, s.m, label is not None, lagr is not None, len(checks))
+    # the operators are validated, so finite and bitwise symmetric: the echo
+    # formats each entry of their upper triangles once, as `_json_array` does
+    triangles, entries, _ = _symmetric_layout(s.ops.shape, _INPUT_INDENT)
+    echo = entries(list(map(float.__repr__, s.ops.take(triangles).tolist())))
+    invariants = _INVARIANTS(inv)
+    # the texts of the floats, taken in the order they were listed
+    floats = iter(_float_texts(
+        [s.ambient_c, *invariants, *chain.from_iterable(map(_SIDES, checks))]))
+    cells = [_encode_str(_timestamp()), next(floats), *echo]
+    if label is not None:
+        cells.append(_json_text(label, _INPUT_INDENT))
+    cells += islice(floats, len(invariants))
+    for c in checks:
+        cells += (_encode_str(c.label), next(floats), next(floats),
+                  _BOOL_TEXT[c.holds], _BOOL_TEXT[c.equality], next(floats))
+    if lagr is not None:
+        cells.append(_BOOL_TEXT[lagr])
+    return layout % tuple(cells)
 
 
 def write_json(doc, path):
     """Write `doc` as json.dump(doc, f, indent=2) does, with every numpy array
-    as its tolist(), plus a newline, in one write."""
+    as its tolist(), plus a newline, in one write.
+
+    A `_CheckReport` is written as its dict report, from the cached layout
+    of its shape.
+    """
     if path is None:
         return
-    text = _json_text(doc) + "\n"
+    text = (_check_report_text(doc) if type(doc) is _CheckReport else _json_text(doc)) + "\n"
     with open(path, "wb") as f:  # the text is ASCII, as json's is
         f.write(text.encode())
 
@@ -187,11 +266,15 @@ def write_csv(checks, path):
                              c.holds, c.equality])
 
 
+def _timestamp():
+    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
+
+
 def _report_skeleton(seed=None):
     return {
         "tool_version": __version__,
         "seed": seed,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "timestamp": _timestamp(),
     }
 
 
@@ -215,14 +298,7 @@ def cmd_check(args):
         print(f"input error: {e}", file=sys.stderr)
         return 1
     lagr = lagrangian.lagrangian_symmetry_check(s, args.tol) if s.m == s.n else None
-    report = _report_skeleton()
-    report.update({
-        "input": shape_set_to_document(s, label),
-        "invariants": inv.as_dict(),
-        "checks": [c.as_dict() for c in checks],
-        "lagrangian_symmetry": lagr,
-    })
-    write_json(report, args.output)
+    write_json(_CheckReport(s, label, inv, checks, lagr), args.output)
     if args.csv:
         write_csv(checks, args.csv)
     return _print_checks(checks, 12, f"slack = {inv.slack:.12e}\n")
@@ -305,14 +381,18 @@ def cmd_family(args):
             csf = lagrangian.csf_invariants(s, args.csf_c)
             bound = lagrangian.csf_bound_rhs(csf.rho, args.csf_c)
             checks.append(inequalities._result(csf.rho_perp**2, bound, tol, "csf-bound"))
+        forms = closed_forms(inv, *p)
     except (TypeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 1
+    except OverflowError as e:  # a Python float ** in a closed form, as at --a 1e160
+        print(f"input error: closed form outside the float range: {e}", file=sys.stderr)
         return 1
     report = _report_skeleton()
     report.update({
         "input": shape_set_to_document(s, label=args.family),
         "invariants": inv.as_dict(),
-        "closed_forms": closed_forms(inv, *p),
+        "closed_forms": forms,
         "checks": [c.as_dict() for c in checks],
     })
     write_json(report, args.output)
@@ -337,6 +417,9 @@ def cmd_fuzz(args):
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, the input-error code; 2 means a check failed.
 
+    `build_parser` sets `commands` of the top-level parser to its
+    subcommand parsers by name.
+
     A negative number in scientific notation, such as `--b -2e-1`, is read
     as a value, not as an option: before Python 3.13 argparse only knew
     plain negative integers and decimals.
@@ -359,6 +442,7 @@ def build_parser():
         description="Curvature-inequality checks and extremal search for "
                     "shape-operator configurations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_check = sub.add_parser("check", help="check one input document")
     p_check.add_argument("--input", required=True)
@@ -396,8 +480,21 @@ def build_parser():
     return parser
 
 
+def _parse_args(argv):
+    """build_parser().parse_args(argv), parsing the arguments of a named
+    subcommand with that subcommand's parser alone."""
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:  # no subcommand named: the top-level usage, help or error
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     # a NaN or negative --tol would fail every check, and an infinite one pass it
     if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
         print(f"input error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)

@@ -107,11 +107,9 @@ def _products(mats):
     """Q = sum_b B_b^2 and W_g = sum_b B_b B_g B_b of a (..., m, n, n) stack.
 
     One batched GEMM, (R, mn, n) @ (R, n, mn), gives every product
-    P_gb = B_g B_b as block (g, b) of `prod`.  Two views of existing
-    arrays then give W: row block g of `prod`, read as A_g[(l, b), x] =
-    (P_gb)[l, x], and `cols`, read as V[(l, b), k] = (B_b)[l, k], so that
-    A_g^T V = sum_b P_gb^T B_b = W_g.  `cols` is the only transposed copy
-    of the stack an evaluation makes.
+    P_gb = B_g B_b as block (g, b) of `prod`.  With row block g of `prod`
+    read as A_g[(l, b), x] = (P_gb)[l, x], and `cols` as
+    V[(l, b), k] = (B_b)[l, k], A_g^T V = sum_b P_gb^T B_b = W_g.
     """
     lead, (m, n) = mats.shape[:-3], mats.shape[-3:-1]
     stack = mats.reshape(-1, m, n, n)
@@ -231,12 +229,10 @@ def ascend(config: SearchConfig, starts):
     of the gradient by Euler's identity), and a restart whose candidate
     was accepted starts its next iteration from that gradient in the next
     pass.  A backtracking restart therefore never holds up the others.  A
-    rejected candidate is replaced by its restart's iterate (a boolean row
-    gather and scatter, which copies only those rows), and a stopped
-    restart leaves the working stack, so a pass copies rows only for
-    these.  A candidate x + t g is
-    symmetric and traceless to rounding, so it is only rescaled to the
-    sphere, not projected again.
+    rejected candidate is replaced by its restart's iterate, and a stopped
+    restart leaves the working stack.  A candidate x + t g is symmetric and
+    traceless to rounding, so it is only rescaled to the sphere, not
+    projected again.
 
     Returns (values, tuples, outcomes): an (R,) array, an (R, m, n, n)
     array and a list of R RestartOutcomes.

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddvv import cli, extremizer
+import ddvv
+from ddvv import cli, extremizer, inequalities, lagrangian
 
 
 def write_doc(path, doc):
@@ -236,6 +237,20 @@ def test_out_of_memory_is_an_input_error(argv, monkeypatch, capsys):
     assert captured.err == "input error: out of memory: Unable to allocate 72.8 PiB for an array\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["family", "h-umbilical", "--n", "3", "--lambda", "1e200", "--mu", "1e200"],
+    ["family", "minimal-c3", "--a", "1e160", "--b", "1"]])
+def test_family_closed_form_overflow_is_an_input_error(tmp_path, argv, capsys):
+    # the closed forms take Python float powers, which raise past the float range
+    out = tmp_path / "fam.json"
+    assert cli.main([*argv, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_family_unknown_rejected():
     with pytest.raises(SystemExit):
         cli.main(["family", "nonsense"])
@@ -295,6 +310,50 @@ def test_bad_tol_is_an_input_error(tmp_path, capsys, command, tol):
     argv = [*command, str(p)] if command[-1] == "--input" else command
     assert cli.main([*argv, f"--tol={tol}"]) == 1
     assert capsys.readouterr().err.startswith("input error: --tol")
+
+
+# argvs of every route through the parser: each subcommand, help, usage errors
+PARSE_TABLE = [
+    ["check", "--input", "p.json"],
+    ["check", "--input", "p.json", "--output", "r.json", "--csv", "r.csv", "--tol", "1e-6"],
+    ["check", "--inp", "p.json"],
+    ["search", "--n", "3", "--m", "2"],
+    ["search", "--n", "6", "--m", "6", "--restarts", "8", "--iters", "9", "--seed", "1",
+     "--output", "s.json"],
+    ["family", "eq51", "--a", "1", "--b", "-2e-1"],
+    ["family", "h-umbilical", "--n", "4", "--lambda", "3", "--mu", "1", "--tol", "0"],
+    ["family", "minimal-c3", "--a", "1", "--csf-c", "0.5", "--output", "f.json"],
+    ["fuzz", "--n", "3", "--m", "2", "--samples", "5", "--seed", "2"],
+    ["--help"], ["-h"], ["check", "--help"], ["family", "-h"],
+    ["check"], ["check", "--output", "r.json"], ["check", "--input", "p.json", "--tol", "abc"],
+    ["check", "--input", "p.json", "--bogus"], ["check", "--input", "p.json", "x", "--bogus", "1"],
+    ["family"], ["family", "nonsense"], ["fuzz", "--n", "3"],
+    ["nonsense"], ["nonsense", "--input", "p.json"], ["--tol", "1", "check"], [],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_TABLE)
+def test_main_parses_as_the_top_level_parser(argv, monkeypatch, capsys):
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as e:
+            result = ("exit", e.code)
+        return result, *capsys.readouterr()
+
+    for name in cli.build_parser().commands:  # a command returns what main parsed
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: args)
+    assert outcome(cli.main) == outcome(cli.build_parser().parse_args)
+
+
+def test_a_named_subcommand_is_parsed_by_its_parser_alone(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a named subcommand")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", fail)
+    monkeypatch.setattr(cli, "cmd_fuzz", lambda args: args)
+    args = cli.main(["fuzz", "--n", "3", "--m", "2"])
+    assert (args.command, args.n, args.m, args.samples) == ("fuzz", 3, 2, 1000)
 
 
 def test_main_calls_the_current_command_handler(monkeypatch):
@@ -504,3 +563,55 @@ def test_check_report_echoes_the_input_lists(tmp_path):
     echoed = json.loads(text)["input"]["shape_operators"]
     assert echoed == doc["shape_operators"]
     assert math.copysign(1.0, echoed[1][2][2]) == -1.0
+
+
+def _dict_report(path, timestamp, tol=inequalities.DEFAULT_TOL):
+    """The report of `check` on the document at `path` as a dict of its values."""
+    s, label = cli.read_input_document(path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv, checks = inequalities.point_checks(s, tol)
+    return {
+        "tool_version": ddvv.__version__, "seed": None, "timestamp": timestamp,
+        "input": cli.shape_set_to_document(s, label),
+        "invariants": inv.as_dict(),
+        "checks": [c.as_dict() for c in checks],
+        "lagrangian_symmetry": lagrangian.lagrangian_symmetry_check(s, tol) if s.m == s.n else None,
+    }
+
+
+def _edge_doc():
+    doc = random_doc(6, n=4, m=2)
+    ops = doc["shape_operators"]
+    ops[0][0][0], ops[0][1][1] = -0.0, 0.0
+    ops[0][0][1] = ops[0][1][0] = 5e-324
+    ops[1][2][2], ops[1][3][3] = 1e300, -1e300
+    return doc
+
+
+LABELS = ["nan-12", "inf", "-Infinity", 'a "quoted" label', "back\\slash", "ünïcødé ∂ρ",
+          "100%s %d %%", {"nested": [1.5, None, "nan"]}, 7]
+LAYOUT_DOCS = [
+    # the check-mix shapes and (2, 1), without a label and with one
+    *(random_doc(n * m, n=n, m=m) for n, m in [(2, 2), (3, 3), (4, 4), (6, 6), (8, 3), (3, 8), (2, 1)]),
+    *({**random_doc(n + m, n=n, m=m), "label": f"pt-{n}-{m}"} for n, m in [(2, 2), (8, 3), (2, 1)]),
+    cdk_doc(),  # an equality point, square and totally symmetric
+    {**cdk_doc(), "ambient_c": 1.5},
+    # zeros of both signs among the invariants
+    {"n": 3, "m": 2, "ambient_c": -0.0, "shape_operators": np.zeros((2, 3, 3)).tolist()},
+    _edge_doc(),
+    {**_edge_doc(), "n": 4, "m": 2, "label": "edge"},
+    # its invariants overflow: the report holds Infinity and NaN
+    {"n": 2, "m": 1, "shape_operators": [[[8e307, 0.0], [0.0, 8e307]]]},
+    *({**random_doc(9, n=3, m=3), "label": label} for label in LABELS),
+]
+
+
+@pytest.mark.parametrize("doc", LAYOUT_DOCS)
+def test_check_report_is_the_text_of_its_dict(tmp_path, doc):
+    p = tmp_path / "point.json"
+    write_doc(p, doc)
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--input", str(p), "--output", str(out)]) in (0, 2)
+    text = out.read_text(encoding="utf-8")
+    assert text == cli._json_text(_dict_report(p, json.loads(text)["timestamp"])) + "\n"
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
