@@ -16,7 +16,7 @@ import re
 import sys
 import time
 from collections import namedtuple
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -76,133 +76,44 @@ def shape_set_to_document(s, label=None):
 
 
 def _json_text(obj, indent=""):
-    """The text of json.dumps(obj, indent=2) for a value nested at `indent`,
-    with every numpy array taken as its tolist().
-
-    A row of floats is one join of their reprs.  Whatever this does not
-    cover (a non-str key, a subclass of a JSON type, a type that json
-    rejects) goes through json itself.
-    """
-    leaf = _LEAVES.get(type(obj))
-    if leaf is not None:
-        return leaf(obj)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = None
-        if isinstance(obj[0], float):  # tried first, as most lists are rows
-            try:
-                body = _json_floats(sep.join(map(float.__repr__, obj)))
-            except TypeError:  # not floats only
-                pass
-        if body is None:
-            body = sep.join([_json_text(x, inner) for x in obj])
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
-        if not obj:
-            return "{}"
-        body = sep.join([f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(obj, np.ndarray):
-        return _json_array(obj, indent)
-    # arrays nested here go as their lists; anything else json rejects raises TypeError
+    """json.dumps(obj, indent=2), with every numpy array as its tolist(), for
+    a value nested at `indent`."""
     return json.dumps(obj, indent=2, default=np.ndarray.tolist).replace("\n", "\n" + indent)
 
 
-def _json_array(arr, indent):
-    """The text of json.dumps(arr.tolist(), indent=2) for an array nested at `indent`.
-
-    A float64 stack of square matrices that equals its transpose bit for bit
-    (a 0.0 mirrored by -0.0 does not) is written from its upper triangles,
-    one repr per distinct entry; any other array goes through its rows.
-    """
-    if arr.dtype == np.float64 and arr.ndim >= 2 and arr.size and arr.shape[-1] == arr.shape[-2]:
-        bits = arr.view(np.int64)
-        if (bits == bits.swapaxes(-1, -2)).all():
-            triangles, entries, template = _symmetric_layout(arr.shape, indent)
-            reprs = map(float.__repr__, arr.take(triangles).tolist())
-            return _json_floats(template % entries(list(reprs)))
-    return _json_text(arr.tolist(), indent)
-
-
-@functools.lru_cache(maxsize=32)
-def _symmetric_layout(shape, indent):
-    """How `_json_array` writes a symmetric stack of `shape` at `indent`.
-
-    Returns the flat indices of the upper triangles (i <= j) of the stack's
-    matrices, in order; a getter that takes the list of their reprs to the
-    n^2 entries of each matrix in row order; and the text of the stack with
-    a %s for every entry.
-    """
-    n, count = shape[-1], math.prod(shape[:-2])
-    iu, ju = np.triu_indices(n)
-    slot = np.empty((n, n), dtype=np.intp)  # entry (i, j) of a matrix: its triangle slot
-    slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
-    matrix = np.arange(count)[:, None]
-    triangles = (matrix * (n * n) + iu * n + ju).ravel()
-    triangles.setflags(write=False)  # shared by every call through the cache
-    entries = operator.itemgetter(*(matrix * iu.size + slot.ravel()).ravel().tolist())
-    template = _json_text(np.full(shape, "%s", dtype=object).tolist(), indent)
-    return triangles, entries, template.replace('"%s"', "%s")
-
-
-def _json_floats(text):
-    """Float reprs with NaN and infinities spelled as json spells them.
-
-    A finite float's repr never contains "n", so most text is returned as is.
-    """
-    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
-
-
 def _json_float(x):
-    return _json_floats(float.__repr__(x))
-
-
-def _float_texts(values):
-    """The JSON texts of a list of floats; each distinct value is formatted once."""
-    text = dict.fromkeys(values)
-    for x in text:
-        text[x] = _json_float(x)
-    if 0.0 in text:  # 0.0 and -0.0 are one key with two texts: a zero is spelled anew
-        text[0.0] = None
-        return [text[x] or _json_float(x) for x in values]
-    return list(map(text.__getitem__, values))
+    """The JSON text of a float: its repr, with NaN and infinities spelled as
+    json spells them.  A finite float's repr never contains "n"."""
+    text = float.__repr__(x)
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 _BOOL_TEXT = {True: "true", False: "false"}
-# the JSON text of a leaf, by its exact type
-_LEAVES = {
-    float: _json_float,
-    str: _encode_str,
-    int: int.__repr__,
-    bool: _BOOL_TEXT.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
 
 # the `check` report of a point: the shape set and label read, its invariants,
 # its checks and its Lagrangian symmetry (None unless m == n)
 _CheckReport = namedtuple("_CheckReport", "s label inv checks lagr")
 _INPUT_INDENT = "    "  # of the members of a report's "input" block
 _INVARIANTS = operator.attrgetter(*curvature._REPORT_FIELDS)
-_SIDES = operator.attrgetter("lhs", "rhs", "tol")
 
 
 @functools.lru_cache(maxsize=64)
 def _check_layout(n, m, labelled, square, count):
     """The text of a `check` report on a point of m operators n x n, with
-    `count` checks, and a %s for each leaf that varies between points.
+    `count` checks, and a %s for each leaf that varies between points; with
+    how to fill the echo of the operators.
 
-    It is `_json_text` of a report whose leaves are such slots, so every
-    other character is what the dict report has.  The echo of the operators
-    has one slot per entry, in the order of `_symmetric_layout`; a label,
-    any JSON value, has one slot for its whole text.
+    The text is `_json_text` of a report whose leaves are such slots, so
+    every other character is what the dict report has.  The echo has one
+    slot per entry, in row order; a label, any JSON value, has one slot for
+    its whole text.  Returned with the text: the flat indices of the upper
+    triangles (i <= j) of the operators, in order, and a getter that takes
+    the list of their reprs to the n^2 entries of each operator in row order.
     """
     slot = "%s"
     echo = {"n": n, "m": m, "ambient_c": slot,
-            "shape_operators": np.full((m, n, n), slot, dtype=object).tolist()}
+            "shape_operators": np.full((m, n, n), slot, dtype=object)}
     if labelled:
         echo["label"] = slot
     check = dict.fromkeys(("label", "lhs", "rhs", "holds", "equality", "tol"), slot)
@@ -213,29 +124,33 @@ def _check_layout(n, m, labelled, square, count):
         "checks": [check] * count,
         "lagrangian_symmetry": slot if square else None,
     }
-    return _json_text(report).replace("%", "%%").replace('"%%s"', "%s")
+    text = _json_text(report).replace("%", "%%").replace('"%%s"', "%s")
+    iu, ju = np.triu_indices(n)
+    entry = np.empty((n, n), dtype=np.intp)  # entry (i, j) of an operator: its triangle slot
+    entry[iu, ju] = entry[ju, iu] = np.arange(iu.size)
+    a = np.arange(m)[:, None]
+    triangles = (a * (n * n) + iu * n + ju).ravel()
+    triangles.setflags(write=False)  # shared by every call through the cache
+    entries = operator.itemgetter(*(a * iu.size + entry.ravel()).ravel().tolist())
+    return text, triangles, entries
 
 
 def _check_report_text(report):
     """The text of the dict report of `check` (`_json_text` of it), filled
     into the layout of its shape in one %."""
     s, label, inv, checks, lagr = report
-    layout = _check_layout(s.n, s.m, label is not None, lagr is not None, len(checks))
+    layout, triangles, entries = _check_layout(
+        s.n, s.m, label is not None, lagr is not None, len(checks))
     # the operators are validated, so finite and bitwise symmetric: the echo
-    # formats each entry of their upper triangles once, as `_json_array` does
-    triangles, entries, _ = _symmetric_layout(s.ops.shape, _INPUT_INDENT)
+    # formats each entry of their upper triangles once
     echo = entries(list(map(float.__repr__, s.ops.take(triangles).tolist())))
-    invariants = _INVARIANTS(inv)
-    # the texts of the floats, taken in the order they were listed
-    floats = iter(_float_texts(
-        [s.ambient_c, *invariants, *chain.from_iterable(map(_SIDES, checks))]))
-    cells = [_encode_str(_timestamp()), next(floats), *echo]
+    cells = [_encode_str(_timestamp()), _json_float(s.ambient_c), *echo]
     if label is not None:
         cells.append(_json_text(label, _INPUT_INDENT))
-    cells += islice(floats, len(invariants))
+    cells += map(_json_float, _INVARIANTS(inv))
     for c in checks:
-        cells += (_encode_str(c.label), next(floats), next(floats),
-                  _BOOL_TEXT[c.holds], _BOOL_TEXT[c.equality], next(floats))
+        cells += (_encode_str(c.label), _json_float(c.lhs), _json_float(c.rhs),
+                  _BOOL_TEXT[c.holds], _BOOL_TEXT[c.equality], _json_float(c.tol))
     if lagr is not None:
         cells.append(_BOOL_TEXT[lagr])
     return layout % tuple(cells)
@@ -382,10 +297,14 @@ def cmd_family(args):
             bound = lagrangian.csf_bound_rhs(csf.rho, args.csf_c)
             checks.append(inequalities._result(csf.rho_perp**2, bound, tol, "csf-bound"))
         forms = closed_forms(inv, *p)
+        # past the float range a check decides on infinities, as at
+        # ultraminimal-c4 --a 1e160: no report is written
+        if not all(map(math.isfinite, chain(_INVARIANTS(inv), forms.values()))):
+            raise OverflowError("an invariant or a closed form is not finite")
     except (TypeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
-    except OverflowError as e:  # a Python float ** in a closed form, as at --a 1e160
+    except OverflowError as e:  # also a Python float ** in a closed form, as at minimal-c3 --a 1e160
         print(f"input error: closed form outside the float range: {e}", file=sys.stderr)
         return 1
     report = _report_skeleton()

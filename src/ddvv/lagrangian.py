@@ -26,8 +26,8 @@ def lagrangian_symmetry_check(s: ShapeOperatorSet, tol=DEFAULT_TOL) -> bool:
     """
     if s.m != s.n:
         raise ValueError("Lagrangian frame requires codimension == dimension")
-    cube = np.asarray(s.ops)
-    scale = max(1.0, float(np.max(np.abs(cube))) if cube.size else 0.0)
+    cube = s.ops
+    scale = max(1.0, float(np.max(np.abs(cube))))
     defect = float(np.max(np.abs(cube - np.transpose(cube, (1, 0, 2)))))
     return defect <= tol * scale
 

@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,9 +241,12 @@ def test_out_of_memory_is_an_input_error(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["family", "h-umbilical", "--n", "3", "--lambda", "1e200", "--mu", "1e200"],
-    ["family", "minimal-c3", "--a", "1e160", "--b", "1"]])
+    ["family", "minimal-c3", "--a", "1e160", "--b", "1"],
+    ["family", "ultraminimal-c4", "--a", "1e160"],
+    ["family", "eq51", "--a", "1e160", "--b", "1"]])
 def test_family_closed_form_overflow_is_an_input_error(tmp_path, argv, capsys):
-    # the closed forms take Python float powers, which raise past the float range
+    # the closed forms take Python float powers, which raise past the float
+    # range, and the invariants of the last two overflow to infinities
     out = tmp_path / "fam.json"
     assert cli.main([*argv, "--output", str(out)]) == 1
     captured = capsys.readouterr()
@@ -469,10 +474,20 @@ json_trees = st.recursive(
     max_leaves=30)
 
 
+def _written(obj):
+    """The text `write_json` writes for `obj`, without its final newline."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "report.json"
+        cli.write_json(obj, path)
+        text = path.read_bytes().decode("ascii")
+    assert text.endswith("\n")
+    return text[:-1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(json_trees)
 def test_report_text_is_json_dumps_indent_2(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    assert _written(obj) == json.dumps(obj, indent=2)
 
 
 def _lists(obj):
@@ -524,7 +539,7 @@ json_trees_with_arrays = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(json_trees_with_arrays)
 def test_report_text_of_arrays_is_json_dumps_of_their_lists(obj):
-    assert cli._json_text(obj) == json.dumps(_lists(obj), indent=2)
+    assert _written(obj) == json.dumps(_lists(obj), indent=2)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 4), (4, 4), (1, 2, 2)])
@@ -534,7 +549,7 @@ def test_report_text_of_mirrored_zeros(shape, zeros):
     arr = g + np.swapaxes(g, -1, -2)
     arr[..., 0, 1], arr[..., 1, 0] = zeros
     doc = {"input": {"shape_operators": arr}}
-    assert cli._json_text(doc) == json.dumps(_lists(doc), indent=2)
+    assert _written(doc) == json.dumps(_lists(doc), indent=2)
 
 
 def test_check_stdout_is_one_line_per_check_then_the_slack(tmp_path, capsys):
@@ -613,5 +628,6 @@ def test_check_report_is_the_text_of_its_dict(tmp_path, doc):
     out = tmp_path / "report.json"
     assert cli.main(["check", "--input", str(p), "--output", str(out)]) in (0, 2)
     text = out.read_text(encoding="utf-8")
-    assert text == cli._json_text(_dict_report(p, json.loads(text)["timestamp"])) + "\n"
+    report = _dict_report(p, json.loads(text)["timestamp"])
+    assert text == json.dumps(report, indent=2, default=np.ndarray.tolist) + "\n"
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
