@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import equality_certificate
-from .matrix_core import traceless_project
+from .matrix_core import commutators_and_gram, sum_sq, traceless_project
 
 VIOLATION_THRESHOLD = 1.0 + 1e-6
 STOP_REASONS = ("grad_tol", "line_search", "max_iters")
@@ -103,24 +103,6 @@ class SearchReport:
         }
 
 
-def _products(mats):
-    """Q = sum_b B_b^2 and W_g = sum_b B_b B_g B_b of a (..., m, n, n) stack.
-
-    One batched GEMM, (R, mn, n) @ (R, n, mn), gives every product
-    P_gb = B_g B_b as block (g, b) of `prod`.  With row block g of `prod`
-    read as A_g[(l, b), x] = (P_gb)[l, x], and `cols` as
-    V[(l, b), k] = (B_b)[l, k], A_g^T V = sum_b P_gb^T B_b = W_g.
-    """
-    lead, (m, n) = mats.shape[:-3], mats.shape[-3:-1]
-    stack = mats.reshape(-1, m, n, n)
-    rows = stack.reshape(-1, m * n, n)  # [B_1; ...; B_m]
-    cols = stack.transpose(0, 2, 1, 3).reshape(-1, n, m * n)  # [B_1 | ... | B_m]
-    prod = rows @ cols
-    q = cols @ rows
-    w = prod.reshape(-1, m, n * m, n).swapaxes(-1, -2) @ cols.reshape(-1, 1, n * m, n)
-    return q.reshape(*lead, n, n), w.reshape(mats.shape)
-
-
 def _inner(a, b):
     """<a, b> of each (m, n, n) tuple of two (..., m, n, n) stacks.
 
@@ -134,20 +116,16 @@ def _inner(a, b):
 def objective(t):
     """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2 of one tuple or a stack.
 
-    Evaluated as 2 (||Q||^2 - sum_g <B_g, W_g>) from `_products`.  The
-    ascent does not call it: `_evaluate` reads the value off the gradient.
-    It and `riemannian_gradient` are the reference kernels that the tests
-    compare `_evaluate` against.  A (..., m, n, n) stack gives an array of
-    values, one tuple a float.  The difference cancels: its absolute error
-    is about rounding times ||B||^4.  A sum of squares is never negative,
-    so the value is clamped at 0; near a commuting tuple it is still only
-    accurate to that absolute error.  The invariants and the checks use
-    the commutator stack of `matrix_core.commutators_and_gram`.
+    The squared norm of the commutator stack of
+    `matrix_core.commutators_and_gram`, the kernel of the invariants and
+    the checks: a sum of squares, so it is exactly 0 on a commuting tuple
+    and accurate relative to its own size.  The ascent does not call it:
+    `_evaluate` reads the value off the gradient.  It and
+    `riemannian_gradient` are the reference kernels that the tests compare
+    `_evaluate` against.  A (..., m, n, n) stack gives an array of values,
+    one tuple a float.
     """
-    mats = np.asarray(t, dtype=float)
-    q, w = _products(mats)
-    value = np.maximum(2.0 * (np.einsum("...ij,...ij->...", q, q) - _inner(mats, w)), 0.0)
-    return float(value) if mats.ndim == 3 else value
+    return sum_sq(commutators_and_gram(t)[0], 4)
 
 
 def normalize(t):
@@ -162,21 +140,28 @@ def normalize(t):
 def gradient(t):
     """Euclidean gradient of the objective on the traceless symmetric space.
 
-    dF/dB_g = 4 sum_b [[B_g, B_b], B_b] = 4 (B_g Q + Q B_g - 2 W_g), which
-    is 4 (G_g + G_g^T) with G_g = B_g Q - W_g, as B_g, Q and W_g are
-    symmetric; one batched GEMM gives every B_g Q.  G is assembled in the
-    output of that GEMM, then G^T is added from a contiguous copy; since
-    g_ij + g_ji is g_ji + g_ij bit for bit, the result is exactly
+    dF/dB_g = 4 sum_b [[B_g, B_b], B_b] = 4 (G_g + G_g^T), G_g = B_g Q - W_g,
+    with Q = sum_b B_b^2 and W_g = sum_b B_b B_g B_b, all symmetric.  One
+    batched GEMM, `rows` @ `cols` of shapes (R, mn, n) @ (R, n, mn), gives
+    every P_gb = B_g B_b as block (g, b); with its row block g read as
+    A_g[(l, b), x] = (P_gb)[l, x], and `cols` as V[(l, b), k] = (B_b)[l, k],
+    A_g^T V = sum_b P_gb^T B_b = W_g.  G is assembled in the output of the
+    GEMM that gives every B_g Q, then G^T is added from a contiguous copy;
+    since g_ij + g_ji is g_ji + g_ij bit for bit, the result is exactly
     symmetric.  It needs no traceless projection: by cyclicity
     tr W_g = sum_b tr(B_b B_g B_b) = sum_b tr(B_g B_b^2) = tr(B_g Q), so
-    tr G_g = 0 for every symmetric tuple, traceless or not.
-    The result is a new array.
+    tr G_g = 0 for every symmetric tuple, traceless or not.  The result is a new array.
     """
     mats = np.asarray(t, dtype=float)
-    q, w = _products(mats)
     m, n = mats.shape[-3:-1]
-    g = (mats.reshape(-1, m * n, n) @ q.reshape(-1, n, n)).reshape(mats.shape)  # [B_g Q]
-    g -= w
+    stack = mats.reshape(-1, m, n, n)
+    rows = stack.reshape(-1, m * n, n)  # [B_1; ...; B_m]
+    cols = stack.transpose(0, 2, 1, 3).reshape(-1, n, m * n)  # [B_1 | ... | B_m]
+    q = cols @ rows
+    # the (R, mn, mn) block products are freed once W is formed, before the B_g Q GEMM
+    w = (rows @ cols).reshape(-1, m, n * m, n).swapaxes(-1, -2) @ cols.reshape(-1, 1, n * m, n)
+    g = (rows @ q).reshape(mats.shape)  # [B_g Q]
+    g -= w.reshape(mats.shape)
     g += np.swapaxes(g, -1, -2).copy()
     g *= 4.0
     return g
@@ -201,8 +186,7 @@ def _evaluate(mats):
     <grad F(x), x> = 4 F(x) gives the value from the radial part <g, x>
     that the projection onto the sphere computes anyway; no separate
     `objective` contraction is made.  The projection g -= <g, x> x is that
-    of `riemannian_gradient` bit for bit, and the value is clamped at 0 as
-    in `objective`.
+    of `riemannian_gradient` bit for bit, and the value is clamped at 0.
     """
     g = gradient(mats)
     radial = _inner(g, mats)

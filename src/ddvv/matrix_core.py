@@ -7,9 +7,9 @@ scales each tuple exactly below 1, `unit_stack` scales it to total norm 1,
 `commutators_and_gram` gives every
 commutator [B_a, B_b] and the Gram matrix <B_a, B_b> from one product, and
 `sum_sq` is the squared norm over trailing axes.  A tuple without leading
-axes is the batch-free case of the same code.  The per-matrix `commutator`,
-`frobenius_inner`, `frobenius_norm_sq` and `conjugate` are the references
-the tests compare against.  Seeded random generation completes the module.
+axes is the batch-free case of the same code.  Seeded Haar-orthogonal
+generation, `random_orthogonal`, completes the module; the per-matrix
+references the tests compare the kernels against live with the tests.
 All matrices are plain float64 numpy arrays; dimensions are dynamic
 (working range n, m <= 12 or so).
 """
@@ -58,32 +58,6 @@ def as_symmetric(a):
     if asym > SYMMETRIZE_WARN_TOL:
         warnings.warn(f"symmetrizing matrix with asymmetry {asym:.3e}")
     return sym
-
-
-def _check_same_shape(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def commutator(a, b):
-    """[a, b] = ab - ba.  Skew-symmetric when a and b are symmetric."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_same_shape(a, b)
-    return a @ b - b @ a
-
-
-def frobenius_inner(a, b):
-    """tr(a^T b) = sum of entrywise products."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_same_shape(a, b)
-    return float(np.sum(a * b))
-
-
-def frobenius_norm_sq(a):
-    a = np.asarray(a, dtype=float)
-    return float(np.sum(a * a))
 
 
 def traceless_project(a):
@@ -167,20 +141,6 @@ def commutators_and_gram(mats):
     return prod - prod.swapaxes(-4, -3), flat @ flat.swapaxes(-1, -2)
 
 
-def conjugate(a, o):
-    """Orthogonal conjugation o^T a o; preserves the Frobenius norm."""
-    a = np.asarray(a, dtype=float)
-    o = np.asarray(o, dtype=float)
-    _check_same_shape(a, o)
-    return o.T @ a @ o
-
-
-def orthogonality_defect(o):
-    """Max-entry norm of o^T o - I."""
-    o = np.asarray(o, dtype=float)
-    return float(np.max(np.abs(o.T @ o - np.eye(o.shape[0]))))
-
-
 def random_orthogonal(n, seed, shape=()):
     """Haar-distributed orthogonal matrices, (*shape, n, n), from QR factorizations.
 
@@ -200,10 +160,3 @@ def random_orthogonal(n, seed, shape=()):
     d[d == 0] = 1.0
     return q * d[..., None, :]
 
-
-def random_traceless_sym(n, seed):
-    """Seeded standard-Gaussian symmetric matrix with the trace removed."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    return traceless_project(rng.standard_normal((n, n)))

@@ -5,7 +5,8 @@ from ddvv import curvature as cv
 from ddvv import inequalities as ineq
 from ddvv.curvature import ShapeOperatorSet
 from ddvv.fuzz import random_shape_set
-from ddvv.matrix_core import conjugate, random_orthogonal
+from ddvv.matrix_core import random_orthogonal
+from reference import conjugate
 
 
 def cdk_shape_set(mu1=0.5, mu2=0.5, c=0.0):

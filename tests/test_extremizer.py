@@ -3,8 +3,8 @@ import pytest
 
 from ddvv import extremizer as ex
 from ddvv import inequalities as ineq
-from ddvv.matrix_core import (conjugate, random_orthogonal, random_traceless_sym, sum_sq,
-                              traceless_project)
+from ddvv.matrix_core import random_orthogonal, sum_sq, traceless_project
+from reference import commutator, conjugate, frobenius_norm_sq, random_traceless_sym
 
 
 def cdk_tuple():
@@ -224,13 +224,13 @@ def test_kernels_on_a_stack_match_per_tuple_calls():
 def test_ascend_from_a_maximizer_stops_at_once(monkeypatch):
     config = ex.SearchConfig(n=4, m=3, restarts=8, seed=3)
     best = ex.multistart(config).best_tuple
-    rows, original = [], ex._products
+    rows, original = [], ex.gradient
 
     def counted(mats):
         rows.append(len(mats))
         return original(mats)
 
-    monkeypatch.setattr(ex, "_products", counted)
+    monkeypatch.setattr(ex, "gradient", counted)
     (value,), _, (outcome,) = ex.ascend(config, best[None])
     assert outcome.stop_reason in ("grad_tol", "line_search")
     assert sum(rows) - 1 <= 2  # the first call evaluates the start itself
@@ -263,8 +263,7 @@ def test_gradient_needs_no_traceless_projection():
         m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         a = rng.standard_normal((3, m, n, n))
         b = a + np.swapaxes(a, -1, -2)
-        q, w = ex._products(b)
-        expected = 8.0 * traceless_project(b @ q[:, None] - w)
+        expected = traceless_project(np.stack([_gradient_loop(t) for t in b]))
         got = ex.gradient(b)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
         np.testing.assert_array_equal(got, np.swapaxes(got, -1, -2))
@@ -286,15 +285,27 @@ def test_multistart_projects_its_starts_as_one_stack(monkeypatch):
 
 
 def test_objective_is_never_negative():
-    # 2 (||Q||^2 - sum <B_g, W_g>) cancels to about -1e-13 on commuting tuples
     rng = np.random.default_rng(0)
     diag = np.zeros((1000, 3, 4, 4))
     idx = np.arange(4)
     diag[..., idx, idx] = rng.standard_normal((1000, 3, 4))
     values = ex.objective(diag)
-    assert values.shape == (1000,) and np.all(values >= 0.0)
-    assert np.max(values) <= 1e-12
-    assert all(ex.objective(t) >= 0.0 for t in diag[:20])
+    assert values.shape == (1000,) and np.all(values == 0.0)
+    assert all(ex.objective(t) == 0.0 for t in diag[:20])
+
+
+def test_objective_is_accurate_near_commuting_tuples():
+    # a diagonal tuple plus 1e-6 times a symmetric one: the sum is about 1e-12 |B|^4
+    rng = np.random.default_rng(19)
+    t = np.zeros((200, 3, 5, 5))
+    idx = np.arange(5)
+    t[..., idx, idx] = rng.standard_normal((200, 3, 5))
+    t += 1e-6 * _symmetric(rng, (200, 3, 5, 5))
+    values = ex.objective(t)
+    for k, tup in enumerate(t):
+        expected = sum(frobenius_norm_sq(commutator(a, b)) for a in tup for b in tup)
+        assert abs(values[k] - expected) <= 1e-12 * expected
+        assert abs(ex.objective(tup) - expected) <= 1e-12 * expected
 
 
 def test_single_matrix_search_reports_no_negative_values():
@@ -308,27 +319,28 @@ def _symmetric(rng, shape):
     return a + np.swapaxes(a, -1, -2)
 
 
-def _products_loop(t):
-    q = sum(b @ b for b in t)
-    w = np.stack([sum(b @ bg @ b for b in t) for bg in t])
-    return q, w
+def _gradient_loop(t):
+    """4 sum_b [[B_g, B_b], B_b] for each B_g of one tuple, one matrix at a time."""
+    return np.stack([4.0 * sum(commutator(commutator(bg, b), b) for b in t) for bg in t])
 
 
-def _assert_products_match_loop(mats):
-    q, w = ex._products(mats)
+def _assert_gradient_matches_loop(mats):
+    g = ex.gradient(mats)
     lead = mats.shape[:-3]
-    assert q.shape == lead + mats.shape[-2:] and w.shape == mats.shape
+    assert g.shape == mats.shape
     for idx in np.ndindex(*lead):
-        q_ref, w_ref = _products_loop(mats[idx])
-        assert np.max(np.abs(q[idx] - q_ref)) <= 1e-13 * np.max(np.abs(q_ref))
-        assert np.max(np.abs(w[idx] - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
+        t = mats[idx]
+        # the scale of the terms: the largest entry of any W_g = sum_b B_b B_g B_b
+        w_max = max(np.max(np.abs(sum(b @ bg @ b for b in t))) for bg in t)
+        assert np.max(np.abs(g[idx] - _gradient_loop(t))) <= 1e-13 * w_max
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (1, 5), (2, 2), (5, 2), (3, 8), (8, 3), (6, 6)])
 @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
 def test_products_match_a_per_matrix_loop(m, n, lead):
+    # the batched products of `gradient`, checked through the gradient they build
     rng = np.random.default_rng(100 * m + 10 * n + len(lead))
-    _assert_products_match_loop(_symmetric(rng, lead + (m, n, n)))
+    _assert_gradient_matches_loop(_symmetric(rng, lead + (m, n, n)))
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 8), (8, 3), (6, 6)])
@@ -337,14 +349,11 @@ def test_products_of_strided_and_fortran_stacks(m, n):
     stack = _symmetric(rng, (6, m, n, n))
     strided = stack[::2]
     assert not strided.flags.c_contiguous
-    _assert_products_match_loop(strided)
+    _assert_gradient_matches_loop(strided)
     fortran = np.asfortranarray(stack)
     assert not fortran.flags.c_contiguous
-    _assert_products_match_loop(fortran)
-    q_c, w_c = ex._products(stack)
-    q_f, w_f = ex._products(fortran)
-    np.testing.assert_array_equal(q_f, q_c)
-    np.testing.assert_array_equal(w_f, w_c)
+    _assert_gradient_matches_loop(fortran)
+    np.testing.assert_array_equal(ex.gradient(fortran), ex.gradient(stack))
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (3, 3), (6, 6), (3, 8), (8, 3)])

@@ -4,14 +4,8 @@ import pytest
 from ddvv import inequalities as ineq
 from ddvv.curvature import ShapeOperatorSet, invariants, traceless_parts
 from ddvv.fuzz import random_shape_set
-from ddvv.matrix_core import (
-    commutator,
-    conjugate,
-    frobenius_norm_sq,
-    random_orthogonal,
-    random_traceless_sym,
-    traceless_project,
-)
+from ddvv.matrix_core import random_orthogonal, traceless_project
+from reference import commutator, conjugate, frobenius_norm_sq, random_traceless_sym
 
 
 def cdk_pair(mu1=0.5, mu2=0.5, n=2):

