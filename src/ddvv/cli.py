@@ -39,7 +39,11 @@ def read_input_document(path):
     or numpy would convert it.
     """
     with open(path, "rb", buffering=0) as f:  # read whole, so no buffer is needed
-        doc = json.loads(f.read())
+        text = f.read()
+    try:
+        doc = json.loads(text)
+    except RecursionError as e:  # nested deeper than the interpreter's recursion limit
+        raise ValueError(f"malformed input document: {e}") from e
     try:
         n, m, mats = doc["n"], doc["m"], doc["shape_operators"]
         c = doc.get("ambient_c", 0.0)

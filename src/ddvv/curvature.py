@@ -15,6 +15,7 @@ an assumption made here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -45,16 +46,23 @@ class ShapeOperatorSet:
             raise ValueError("need at least one shape operator")
         if ops.shape[-1] < 2:
             raise ValueError("tangent dimension must be >= 2")
-        ambient_c = np.array(self.ambient_c, dtype=float)  # a copy, frozen like ops
-        if ambient_c.shape != ops.shape[:-3]:
-            ambient_c = np.broadcast_to(ambient_c, ops.shape[:-3])
-        ambient_c.setflags(write=False)
-        if not np.isfinite(ambient_c).all():
+        c = self.ambient_c
+        if isinstance(c, (int, float)):  # a scalar is checked as one
+            finite = math.isfinite(c)
+            c = np.full(ops.shape[:-3], float(c)) if ops.ndim > 3 else float(c)
+        else:
+            c = np.array(c, dtype=float)  # a copy, frozen like ops
+            if c.shape != ops.shape[:-3]:
+                c = np.broadcast_to(c, ops.shape[:-3])
+            finite = np.isfinite(c).all()
+        if isinstance(c, np.ndarray):
+            c.setflags(write=False)
+        if not finite:
             raise ValueError(f"ambient_c must be finite, got {self.ambient_c}")
         ops = as_symmetric(ops)
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "ambient_c", scalar_or_array(ambient_c))
+        object.__setattr__(self, "ambient_c", scalar_or_array(c))
 
     @property
     def m(self):

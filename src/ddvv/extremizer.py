@@ -267,28 +267,27 @@ def ascend(config: SearchConfig, starts):
     return final_value, final_x, outcomes
 
 
-def _restart_start(config: SearchConfig, index: int):
-    # Per-restart stream derived from (master seed, restart index) so the
-    # report depends only on the config, not on scheduling order.
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed & (2**64 - 1),
-                                                        index]))
-    # The raw draw; `multistart` projects a whole batch of them at once.
-    return rng.standard_normal((config.m, config.n, config.n))
+def _draw_starts(rng, count, config: SearchConfig):
+    """The next `count` raw (m, n, n) starts of a search's stream."""
+    return rng.standard_normal((count, config.m, config.n, config.n))
 
 
 def multistart(config: SearchConfig) -> SearchReport:
     """Run seeded restarts of the ascent and report the best configuration,
-    as the canonical tuple of `inequalities.equality_certificate`."""
+    as the canonical tuple of `inequalities.equality_certificate`.
+
+    Restart k starts from the k-th block of one stream per search, seeded
+    from (seed, n, m) as `fuzz.run_fuzz` seeds its root, whatever the batch
+    size or the number of restarts; a batch is drawn and projected in one call.
+    """
     t0 = time.perf_counter()
+    rng = np.random.default_rng([config.seed & (2**64 - 1), config.n, config.m])
     best_value, best_mats, outcomes = -np.inf, None, []
     # restarts are independent: batches bound the (R, mn, mn) products
     batch = max(1, BATCH_ENTRIES // (config.m * config.n) ** 2)
     for first in range(0, config.restarts, batch):
-        starts = traceless_project(np.stack(
-            [_restart_start(config, k)
-             for k in range(first, min(first + batch, config.restarts))]))
-        values, xs, batch_outcomes = ascend(
-            config, starts[_inner(starts, starts) > 0])
+        starts = traceless_project(_draw_starts(rng, min(batch, config.restarts - first), config))
+        values, xs, batch_outcomes = ascend(config, starts[_inner(starts, starts) > 0])
         outcomes += batch_outcomes
         for value, x in zip(values, xs):
             # ties within 1e-12 keep the earliest restart for determinism

@@ -232,7 +232,7 @@ def test_out_of_memory_is_an_input_error(argv, monkeypatch, capsys):
     # the constructors stand in for an allocation too large for the available memory
     monkeypatch.setitem(cli.FAMILIES, "h-umbilical",
                         (lambda args: (), _out_of_memory, None, "h-umbilical-bound"))
-    monkeypatch.setattr(extremizer, "_restart_start", _out_of_memory)
+    monkeypatch.setattr(extremizer, "_draw_starts", _out_of_memory)
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -446,6 +446,18 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, field, value):
     out = tmp_path / "report.json"
     assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("input error: malformed input document")
+    assert not out.exists()
+
+
+def test_document_nested_past_the_recursion_limit_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: malformed input document: ")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

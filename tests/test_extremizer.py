@@ -18,6 +18,13 @@ def random_tuple(m, n, seed):
     return np.stack([random_traceless_sym(n, seed + 31 * k) for k in range(m)])
 
 
+def stream_starts(config, count):
+    """The first `count` raw starts of a search: blocks of one stream seeded from (seed, n, m)."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.seed & (2**64 - 1), config.n, config.m]))
+    return rng.standard_normal((count, config.m, config.n, config.n))
+
+
 def test_objective_examples():
     diag = np.stack([np.diag([1.0, -1.0, 0.0]), np.diag([0.5, 0.5, -1.0])])
     assert ex.objective(diag) == 0.0
@@ -163,8 +170,9 @@ def test_report_lists_stop_reasons():
 def test_multistart_restarts_match_single_ascents():
     config = ex.SearchConfig(n=4, m=3, restarts=8, seed=17)
     report = ex.multistart(config)
+    starts = stream_starts(config, 8)
     for k, outcome in enumerate(report.per_restart):
-        (value,), _, _ = ex.ascend(config, ex._restart_start(config, k)[None])
+        (value,), _, _ = ex.ascend(config, starts[k][None])
         assert outcome.value == pytest.approx(value, abs=1e-12)
 
 
@@ -177,6 +185,12 @@ def test_multistart_batches_give_the_same_report(monkeypatch):
     for a, b in zip(whole.per_restart, batched.per_restart):
         assert a.value == pytest.approx(b.value, abs=1e-12)
     assert batched.best_value == pytest.approx(whole.best_value, abs=1e-12)
+
+
+def test_multistart_first_restarts_do_not_depend_on_restarts():
+    five, nine = (ex.multistart(ex.SearchConfig(n=4, m=3, restarts=r, seed=23)).as_dict()
+                  for r in (5, 9))
+    assert five["per_restart"] == nine["per_restart"][:5]
 
 
 def test_multistart_ties_go_to_earliest_restart(monkeypatch):
@@ -194,13 +208,19 @@ def test_multistart_ties_go_to_earliest_restart(monkeypatch):
 
 def test_multistart_skips_zero_start(monkeypatch):
     config = ex.SearchConfig(n=3, m=2, restarts=3, seed=4)
-    original = ex._restart_start
-    monkeypatch.setattr(ex, "_restart_start", lambda config, k: (
-        np.zeros((config.m, config.n, config.n)) if k == 1 else original(config, k)))
+    original = ex._draw_starts
+
+    def with_zero_start(rng, count, config):
+        starts = original(rng, count, config)
+        starts[1] = 0.0
+        return starts
+
+    monkeypatch.setattr(ex, "_draw_starts", with_zero_start)
     report = ex.multistart(config)
     assert len(report.per_restart) == 2
+    starts = stream_starts(config, 3)
     for outcome, k in zip(report.per_restart, (0, 2)):
-        (value,), _, _ = ex.ascend(config, original(config, k)[None])
+        (value,), _, _ = ex.ascend(config, starts[k][None])
         assert outcome.value == pytest.approx(value, abs=1e-12)
 
 
@@ -248,7 +268,7 @@ def test_multistart_reaches_the_ceiling_in_few_iterations():
 def test_ascend_iterates_stay_symmetric_traceless_and_unit(n, m):
     # candidates are only rescaled, never projected again
     config = ex.SearchConfig(n=n, m=m, restarts=16, seed=n + 10 * m)
-    starts = traceless_project(np.stack([ex._restart_start(config, k) for k in range(16)]))
+    starts = traceless_project(stream_starts(config, 16))
     values, x, _ = ex.ascend(config, starts)
     np.testing.assert_array_equal(x, np.swapaxes(x, -1, -2))
     assert np.max(np.abs(np.trace(x, axis1=-2, axis2=-1))) <= 1e-14
@@ -279,7 +299,7 @@ def test_multistart_projects_its_starts_as_one_stack(monkeypatch):
 
     monkeypatch.setattr(ex, "ascend", record)
     ex.multistart(config)
-    expected = np.stack([traceless_project(ex._restart_start(config, k)) for k in range(6)])
+    expected = np.stack([traceless_project(t) for t in stream_starts(config, 6)])
     assert seen[0].shape == expected.shape
     assert seen[0].tobytes() == expected.tobytes()  # bit for bit
 
