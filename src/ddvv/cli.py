@@ -197,13 +197,13 @@ def _report_skeleton(seed=None):
     }
 
 
-def _print_checks(checks, width, tail=""):
+def _print_checks(checks, tail=""):
     """One line per check, then `tail`, in one write; the exit code 0 if all
     hold, else 2."""
     lines = []
     for c in checks:
         flag = "equality" if c.equality else ("ok" if c.holds else "FAIL")
-        lines.append(f"{c.label:{width}s} lhs={c.lhs:+.12e} rhs={c.rhs:+.12e} [{flag}]\n")
+        lines.append(f"{c.label:12s} lhs={c.lhs:+.12e} rhs={c.rhs:+.12e} [{flag}]\n")
     sys.stdout.write("".join(lines) + tail)
     return 0 if all(c.holds for c in checks) else 2
 
@@ -220,7 +220,7 @@ def cmd_check(args):
     write_json(_CheckReport(s, label, inv, checks, lagr), args.output)
     if args.csv:
         write_csv(checks, args.csv)
-    return _print_checks(checks, 12, f"slack = {inv.slack:.12e}\n")
+    return _print_checks(checks, f"slack = {inv.slack:.12e}\n")
 
 
 def cmd_search(args):
@@ -265,38 +265,37 @@ def _c4_forms(inv, *p):
 
 
 # family -> (parameter tuple from args, shape set from the parameters, closed-form
-#            record from the invariants and the parameters, label of its bound)
+#            record from the invariants and the parameters)
 FAMILIES = {
     "h-umbilical": (
         lambda args: (args.n, args.lam, args.mu),
-        lagrangian.h_umbilical, _h_umbilical_forms, "h-umbilical-bound"),
+        lagrangian.h_umbilical, _h_umbilical_forms),
     "minimal-c3": (
         lambda args: (args.a, args.b, args.c, args.d),
-        lagrangian.minimal_lagrangian_c3, _c3_forms, "minimal-c3-bound"),
+        lagrangian.minimal_lagrangian_c3, _c3_forms),
     "s3-equality": (
         lambda args: (args.a, 0.0, 0.0, 0.0),
-        lambda a, b, c, d: lagrangian.s3_equality_form(a), _c3_forms, "minimal-c3-bound"),
+        lambda a, b, c, d: lagrangian.s3_equality_form(a), _c3_forms),
     "ultraminimal-c4": (
         lambda args: (args.a, args.b, args.c, args.d),
-        lagrangian.ultraminimal_c4_22, _c4_forms, "ultraminimal-c4-bound"),
+        lagrangian.ultraminimal_c4_22, _c4_forms),
     "eq51": (
         lambda args: (args.a, args.b, 0.0, 0.0),
-        lagrangian.ultraminimal_c4_22, _c4_forms, "ultraminimal-c4-bound"),
+        lagrangian.ultraminimal_c4_22, _c4_forms),
 }
 
 
 def cmd_family(args):
-    params, shape_set, closed_forms, label = FAMILIES[args.family]
+    params, shape_set, closed_forms = FAMILIES[args.family]
     tol = args.tol
     try:
+        if args.csf_c is not None and closed_forms is not _c3_forms:
+            raise ValueError(f"--csf-c applies to minimal-c3 and s3-equality, not to {args.family}")
         p = params(args)
         s = shape_set(*p)
-        inv = curvature.invariants(s)
-        # rho <= |H|^2 - rho_perp + c, with the tolerance of the point's degree-2 scale
-        checks = [inequalities._bound(
-            inv.rho, inv.h_sq - inv.rho_perp + inv.ambient_c, tol, label,
-            inequalities._point_atol(inv, s.n, tol))]
-        if args.csf_c is not None and closed_forms is _c3_forms:  # the C^3 families
+        # the check bundle of `ddvv check`: the family's DDVV bound is its ddvv check
+        inv, checks = inequalities.point_checks(s, tol)
+        if args.csf_c is not None:
             csf = lagrangian.csf_invariants(s, args.csf_c)
             bound = lagrangian.csf_bound_rhs(csf.rho, args.csf_c)
             checks.append(inequalities._result(csf.rho_perp**2, bound, tol, "csf-bound"))
@@ -319,7 +318,7 @@ def cmd_family(args):
         "checks": [c.as_dict() for c in checks],
     })
     write_json(report, args.output)
-    return _print_checks(checks, 22)
+    return _print_checks(checks)
 
 
 def cmd_fuzz(args):

@@ -83,6 +83,7 @@ class RestartOutcome:
 class SearchReport:
     best_value: float
     best_tuple: np.ndarray
+    certificate_residual: float  # of `equality_certificate` on the best tuple
     per_restart: list[RestartOutcome]
     config: SearchConfig
     wall_time: float
@@ -92,6 +93,7 @@ class SearchReport:
         return {
             "best_value": self.best_value,
             "best_tuple": self.best_tuple.tolist(),
+            "certificate_residual": self.certificate_residual,
             "per_restart": [
                 {"value": r.value, "iterations": r.iterations,
                  "converged": r.converged, "stop_reason": r.stop_reason}
@@ -274,7 +276,8 @@ def _draw_starts(rng, count, config: SearchConfig):
 
 def multistart(config: SearchConfig) -> SearchReport:
     """Run seeded restarts of the ascent and report the best configuration,
-    as the canonical tuple of `inequalities.equality_certificate`.
+    as the canonical tuple of `inequalities.equality_certificate`, with the
+    residual of that certificate.
 
     Restart k starts from the k-th block of one stream per search, seeded
     from (seed, n, m) as `fuzz.run_fuzz` seeds its root, whatever the batch
@@ -293,9 +296,11 @@ def multistart(config: SearchConfig) -> SearchReport:
             # ties within 1e-12 keep the earliest restart for determinism
             if value > best_value + 1e-12:
                 best_value, best_mats = value, x
+    best_tuple, residual = equality_certificate(best_mats)
     return SearchReport(
         best_value=float(best_value),
-        best_tuple=equality_certificate(best_mats)[0],
+        best_tuple=best_tuple,
+        certificate_residual=residual,
         per_restart=outcomes,
         config=config,
         wall_time=time.perf_counter() - t0,

@@ -61,11 +61,6 @@ def _bound(lhs, rhs, tol, label, atol, equality=None):
     return CheckResult(lhs=lhs, rhs=rhs, holds=holds, equality=equality, tol=tol, label=label)
 
 
-def _point_atol(inv, n, tol):
-    """tol (|c| + |H|^2 + |b|^2 / (n(n-1))): the tolerance of a point's degree-2 scale."""
-    return tol * (abs(inv.ambient_c) + inv.h_sq + inv.b_sq / (n * (n - 1)))
-
-
 def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     """Commutator-sum bound for traceless symmetric tuples.
 
@@ -202,7 +197,7 @@ def _invariant_checks(s: ShapeOperatorSet, inv, tol):
     ddvv = (n * (n - 1) * inv.rho_perp / (inv.b_sq + (inv.b_sq == 0))) ** 2
     cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
     gap = inv.b_sq / (n * (n - 1))
-    atol = _point_atol(inv, n, tol)
+    atol = tol * (abs(inv.ambient_c) + inv.h_sq + inv.b_sq / (n * (n - 1)))
     return [
         _result(ddvv, 1.0 * nonzero, tol, "ddvv"),
         _bound(inv.rho, inv.h_sq + c, tol, "chen", atol, gap <= atol),

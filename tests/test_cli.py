@@ -3,6 +3,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import ddvv
 from ddvv import cli, extremizer, inequalities, lagrangian
+from reference import curvature_form_bound
 
 
 def write_doc(path, doc):
@@ -203,7 +205,74 @@ def test_family_commands(tmp_path, argv):
     assert cli.main(argv + ["--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["closed_forms"]
-    assert report["checks"]
+    assert [c["label"] for c in report["checks"]] == family_labels(argv)
+
+
+# the labels of the check bundle of a point, in report order
+BUNDLE = ["ddvv", "chen", "weak-codim", "weak-dim", "li-li"]
+
+
+def family_labels(argv):
+    return BUNDLE + ["csf-bound"] * ("--csf-c" in argv)
+
+
+# the scaled parameters of each family
+FAMILY_PARAMETERS = {
+    "h-umbilical": ["--lambda", "--mu"],
+    "minimal-c3": ["--a", "--b", "--c", "--d"],
+    "s3-equality": ["--a"],
+    "ultraminimal-c4": ["--a", "--b", "--c", "--d"],
+    "eq51": ["--a", "--b"],
+}
+
+
+def _family_argv(family, rng, scale):
+    """A seeded `family` command line with parameters of size `scale`, and
+    with --csf-c of size scale^2 on the C^3 families."""
+    def value(size):
+        return repr(float(rng.standard_normal() * size))
+
+    argv = ["family", family]
+    if family == "h-umbilical":
+        argv += ["--n", str(rng.integers(2, 6))]
+    for name in FAMILY_PARAMETERS[family]:
+        argv += [name, value(scale)]
+    if family in ("minimal-c3", "s3-equality"):
+        argv += ["--csf-c", value(scale**2)]
+    return argv
+
+
+@pytest.mark.parametrize("family", list(cli.FAMILIES))
+def test_family_reports_the_bundle_at_every_scale(family, tmp_path):
+    # the ddvv check of the bundle decides the ratio form
+    # (n(n-1) rho_perp / |b|^2)^2 <= 1; the curvature form
+    # rho <= |H|^2 - rho_perp + c, decided apart, must give the same flags
+    rng = np.random.default_rng(list(cli.FAMILIES).index(family))
+    out = tmp_path / "fam.json"
+    for k in range(-40, 41):
+        argv = _family_argv(family, rng, 2.0**k)
+        assert cli.main([*argv, "--output", str(out)]) == 0, argv
+        report = json.loads(out.read_text())
+        checks = report["checks"]
+        assert [c["label"] for c in checks] == family_labels(argv), argv
+        inv = SimpleNamespace(**report["invariants"])
+        expected = curvature_form_bound(inv, report["input"]["n"], inequalities.DEFAULT_TOL)
+        assert (checks[0]["holds"], checks[0]["equality"]) == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "h-umbilical", "--n", "3", "--lambda", "3", "--mu", "1"],
+    ["family", "ultraminimal-c4", "--a", "1", "--b", "0.5", "--c", "0.3"],
+    ["family", "eq51", "--a", "1", "--b", "-0.2"]])
+def test_csf_c_outside_the_c3_families_is_an_input_error(tmp_path, argv, capsys):
+    # these families have no csf bound
+    out = tmp_path / "fam.json"
+    assert cli.main([*argv, "--csf-c", "0.5", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --csf-c ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_family_closed_forms_match_oracle(tmp_path):
@@ -231,7 +300,7 @@ def _out_of_memory(*args):
 def test_out_of_memory_is_an_input_error(argv, monkeypatch, capsys):
     # the constructors stand in for an allocation too large for the available memory
     monkeypatch.setitem(cli.FAMILIES, "h-umbilical",
-                        (lambda args: (), _out_of_memory, None, "h-umbilical-bound"))
+                        (lambda args: (), _out_of_memory, None))
     monkeypatch.setattr(extremizer, "_draw_starts", _out_of_memory)
     assert cli.main(argv) == 1
     captured = capsys.readouterr()

@@ -206,6 +206,39 @@ def test_multistart_ties_go_to_earliest_restart(monkeypatch):
                                   ineq.equality_certificate(tuples[1])[0])
 
 
+# the `search` configurations that CI runs: (n, m, restarts, seed)
+CI_SEARCHES = [(6, 6, 8, 1), (3, 8, 8, 2), (4, 1, 4, 0), (2, 5, 8, 4), (8, 8, 32, 7),
+               (4, 3, 4, 5), (4, 3, 8, 5)]
+
+
+@pytest.mark.parametrize("n, m, restarts, seed", CI_SEARCHES)
+def test_search_reports_the_certificate_residual_of_its_best_tuple(
+        n, m, restarts, seed, monkeypatch):
+    config = ex.SearchConfig(n=n, m=m, restarts=restarts, seed=seed)
+    ascend, batches = ex.ascend, []
+
+    def record(config, starts):
+        batches.append(ascend(config, starts))
+        return batches[-1]
+
+    monkeypatch.setattr(ex, "ascend", record)
+    report = ex.multistart(config)
+    values = np.concatenate([values for values, _, _ in batches])
+    tuples = np.concatenate([tuples for _, tuples, _ in batches])
+    best = 0
+    for k, value in enumerate(values):  # ties within 1e-12 go to the earliest restart
+        if value > values[best] + 1e-12:
+            best = k
+    canonical, residual = ineq.equality_certificate(tuples[best])
+    assert report.certificate_residual == residual
+    assert report.as_dict()["certificate_residual"] == residual
+    np.testing.assert_array_equal(report.best_tuple, canonical)
+    if m == 1:  # one matrix has the ceiling 0 and no equality orbit
+        assert residual == 1.0
+    else:  # a searched maximizer ends about sqrt(eps) off the orbit
+        assert residual <= 1e-6
+
+
 def test_multistart_skips_zero_start(monkeypatch):
     config = ex.SearchConfig(n=3, m=2, restarts=3, seed=4)
     original = ex._draw_starts
