@@ -296,9 +296,7 @@ def cmd_family(args):
         # the check bundle of `ddvv check`: the family's DDVV bound is its ddvv check
         inv, checks = inequalities.point_checks(s, tol)
         if args.csf_c is not None:
-            csf = lagrangian.csf_invariants(s, args.csf_c)
-            bound = lagrangian.csf_bound_rhs(csf.rho, args.csf_c)
-            checks.append(inequalities._result(csf.rho_perp**2, bound, tol, "csf-bound"))
+            checks.append(lagrangian.csf_check(s, args.csf_c, tol))
         forms = closed_forms(inv, *p)
         # past the float range a check decides on infinities, as at
         # ultraminimal-c4 --a 1e160: no report is written

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .matrix_core import (
-    as_symmetric, commutators_and_gram, scalar_or_array, sum_sq, traceless_project)
+    as_symmetric, commutators_and_gram, scalar_or_array, scale_pow2, sum_sq, traceless_project)
 
 TRACELESS_TOL = 1e-12
 
@@ -88,8 +88,9 @@ def _relative_traces(mats):
 class CurvatureInvariants:
     """The invariants of a point, or arrays of them for a stack.
 
-    `gram` is the Gram matrix <B_a, B_b> of the traceless parts, kept for
-    the checks; it is not part of a report.
+    `scaled` is (S, G, e) for the checks, not part of a report: the
+    commutator sum S = sum_{a, b} ||[B_a, B_b]||^2 and the Gram matrix
+    G = <B_a, B_b> of the traceless parts scaled exactly by 2^-e.
     """
 
     rho: float
@@ -98,7 +99,7 @@ class CurvatureInvariants:
     b_sq: float
     slack: float
     ambient_c: float = 0.0
-    gram: np.ndarray = field(default=None, repr=False, compare=False)
+    scaled: tuple = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
         return {name: getattr(self, name) for name in _REPORT_FIELDS}
@@ -169,20 +170,23 @@ def invariants(s: ShapeOperatorSet) -> CurvatureInvariants:
 
     rho = c + |H|^2 - |b|^2 / (n(n-1)) and
     rho_perp = sqrt(sum_{a, b} ||[B_a, B_b]||^2) / (n(n-1)), both from the
-    traceless parts B_a.  The commutators are taken on B 2^-e, with 2^e close to
-    |b|; scaling by a power of two is exact, so rho_perp keeps every bit of the
-    unscaled sum and neither underflows nor overflows before |b|^2 does.  One
-    kernel call serves a whole stack, and each point of it gets the same bits
-    as on its own.
+    traceless parts B_a.  The commutators are taken on the parts of
+    `scale_pow2`, B 2^-e with 2^e just above the largest entry; scaling by a
+    power of two is exact, so rho_perp keeps every bit of the unscaled sum,
+    never underflows early, and reads inf only once it exceeds the float
+    range itself.  One kernel call serves a whole stack, and each point of it
+    gets the same bits as on its own.
     """
     n = s.n
     parts = traceless_parts(s)
+    scaled, e = scale_pow2(parts)
+    e = e[..., 0, 0, 0]
+    comm, gram = commutators_and_gram(scaled)
+    comm_sq = sum_sq(comm, 4)
     b_sq = (parts * parts).sum(axis=(-3, -2, -1))
-    e = np.frexp(b_sq)[1] // 2
-    comm, gram = commutators_and_gram(np.ldexp(parts, -e[..., None, None, None]))
     h_sq = mean_curvature_sq(s)
     rho = s.ambient_c + h_sq - b_sq / (n * (n - 1))
-    rho_perp = np.ldexp(np.sqrt(sum_sq(comm, 4)), 2 * e) / (n * (n - 1))
+    rho_perp = np.ldexp(np.sqrt(comm_sq), 2 * e) / (n * (n - 1))
     slack = h_sq - rho_perp + s.ambient_c - rho
     return CurvatureInvariants(
         rho=scalar_or_array(rho),
@@ -191,5 +195,5 @@ def invariants(s: ShapeOperatorSet) -> CurvatureInvariants:
         b_sq=scalar_or_array(b_sq),
         slack=scalar_or_array(slack),
         ambient_c=s.ambient_c,
-        gram=np.ldexp(gram, 2 * e[..., None, None]),
+        scaled=(comm_sq, gram, e),
     )

@@ -1,12 +1,12 @@
 """Decision procedures for the matrix and curvature inequalities.
 
 Each check returns a CheckResult with the two sides, a holds flag and an
-equality flag.  Checks on matrix tuples normalize to total norm 1 first
-(both sides are degree-4 homogeneous), so one absolute tolerance fits all
-scales; the curvature checks of a point scale their tolerance with it.
-Every check decides elementwise: a stack of points or tuples, with leading
-axes, gives a CheckResult of arrays; one point gives Python floats and bools.
-A matrix tuple is validated as the operators of a `ShapeOperatorSet`.
+equality flag.  The bundle `point_checks` decides ddvv and li-li, of degree
+0, as ratios at an exact power-of-two scale, and the curvature checks with
+a tolerance that scales with the point; `ddvv_check` and `lili_check` are
+its views on a matrix tuple.  Every check decides elementwise: a stack of
+points or tuples, with leading axes, gives a CheckResult of arrays; one
+point gives Python floats and bools.
 """
 
 from __future__ import annotations
@@ -62,19 +62,14 @@ def _bound(lhs, rhs, tol, label, atol, equality=None):
 
 
 def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
-    """Commutator-sum bound for traceless symmetric tuples.
-
-    lhs = sum over ordered pairs of ||[B_a, B_b]||^2, rhs = (sum ||B_a||^2)^2.
-    Equality needs equal sides and a tuple on the equality orbit, within
-    `tol` of `equality_certificate`.  Rejects tuples that are not traceless
-    within `tol`.
-    """
-    mats = ShapeOperatorSet(t).ops
-    if np.any(_relative_traces(mats) > tol):
+    """The DDVV bound of traceless symmetric tuples, the ddvv check of
+    `point_checks` on them as shape operators; rejects tuples that are not
+    traceless within `tol`."""
+    s = ShapeOperatorSet(t)
+    if np.any(_relative_traces(s.ops) > tol):
         raise ValueError("ddvv_check requires traceless matrices")
-    comm, gram = commutators_and_gram(unit_stack(mats))
-    result = _result(sum_sq(comm, 4), np.trace(gram, axis1=-2, axis2=-1) ** 2, tol, "ddvv")
-    return _on_orbit(result, mats, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # |b|^2, not reported, may overflow
+        return point_checks(s, tol)[1][0]
 
 
 def equality_certificate(t):
@@ -145,19 +140,11 @@ def cdk_check(b1, b2, tol=DEFAULT_TOL) -> CheckResult:
 
 
 def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
-    """Commutator plus Gram-square bound with constant 3/2.
-
-    Both double sums run over all ordered pairs, including the diagonal
-    terms <B_a, B_a>^2 = ||B_a||^4.  Trace-free input is not required.
-    """
-    comm, gram = commutators_and_gram(unit_stack(ShapeOperatorSet(t).ops))
-    return _lili_sides(sum_sq(comm, 4), gram, tol)
-
-
-def _lili_sides(comm_sq, gram, tol):
-    """Li-Li from sum ||[B_a, B_b]||^2 and the Gram matrix of a unit stack."""
-    trace = np.trace(gram, axis1=-2, axis2=-1)
-    return _result(comm_sq + sum_sq(gram, 2), 1.5 * trace**2, tol, "li-li")
+    """Commutator plus Gram-square bound with constant 3/2 of symmetric
+    tuples, traceless or not, the li-li check of `point_checks` on them as
+    shape operators."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as in ddvv_check
+        return point_checks(ShapeOperatorSet(t), tol)[1][4]
 
 
 @functools.cache
@@ -182,24 +169,19 @@ def weak_constant_n(n: int) -> float:
 
 
 def _invariant_checks(s: ShapeOperatorSet, inv, tol):
-    """ddvv, chen, weak-codim and weak-dim from the invariants `inv` of `s`.
+    """chen, weak-codim and weak-dim from the invariants `inv` of `s`.
 
-    As rho_perp = sqrt(sum ||[B_a, B_b]||^2) / (n(n-1)), the DDVV sides of the
-    unit stack B / |b| are (n(n-1) rho_perp / |b|^2)^2 and 1, or 0 and 0.
-    The other three compare sides that are signed sums of terms bounded by
-    the point's degree-2 scale |c| + |H|^2 + |b|^2 / (n(n-1)), and take their
-    tolerance relative to it: scaling the operators by 2^k and c by 4^k scales
-    every invariant exactly by 4^k and leaves every flag unchanged.  Chen's
-    sides differ by exactly |b|^2 / (n(n-1)), which decides its equality.
+    They compare sides that are signed sums of terms bounded by the point's
+    degree-2 scale |c| + |H|^2 + |b|^2 / (n(n-1)), and take their tolerance
+    relative to it: scaling the operators by 2^k and c by 4^k scales every
+    invariant exactly by 4^k and leaves every flag unchanged.  Chen's sides
+    differ by exactly |b|^2 / (n(n-1)), which decides its equality.
     """
-    n, c, nonzero = s.n, inv.ambient_c, inv.b_sq > 0
-    # a zero b has rho_perp = 0: divide by 1 there
-    ddvv = (n * (n - 1) * inv.rho_perp / (inv.b_sq + (inv.b_sq == 0))) ** 2
+    n, c = s.n, inv.ambient_c
     cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
     gap = inv.b_sq / (n * (n - 1))
-    atol = tol * (abs(inv.ambient_c) + inv.h_sq + inv.b_sq / (n * (n - 1)))
+    atol = tol * (abs(c) + inv.h_sq + gap)
     return [
-        _result(ddvv, 1.0 * nonzero, tol, "ddvv"),
         _bound(inv.rho, inv.h_sq + c, tol, "chen", atol, gap <= atol),
         _bound(inv.rho, inv.h_sq - cm * inv.rho_perp + c, tol, "weak-codim", atol),
         _bound(inv.rho, inv.h_sq - weak_constant_n(n) * inv.rho_perp + c, tol, "weak-dim", atol),
@@ -210,23 +192,26 @@ def point_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     """(invariants, [ddvv, chen, weak-codim, weak-dim, li-li]) of a point or a
     stack of points, from one `curvature.invariants` evaluation.
 
-    Li-Li needs the commutator sum and the Gram matrix of the operators
-    A_a = B_a + H_a I themselves, on their unit stack.  Both come off the
-    traceless stack exactly: [A_a, A_b] = [B_a, B_b], so the commutator sum
-    is (n(n-1) rho_perp)^2, and <A_a, A_b> = <B_a, B_b> + n H_a H_b, with
-    |A|^2 = |b|^2 + n |H|^2.
+    ddvv and li-li have degree 0 and are decided at exact scales, off the
+    commutator sum S and Gram matrix G of B 2^-e of the invariants: ddvv is
+    S / (tr G)^2 against 1.  Li-Li takes A_a = B_a + H_a I at the scale
+    2^-f of `scale_pow2` of A: [A_a, A_b] = [B_a, B_b] and <A_a, A_b> =
+    <B_a, B_b> + n H_a H_b, so its sides are (S + sum <A_a, A_b>^2) / |A|^4
+    and 3/2.  A zero b, or point, gives 0 and 0.  Scaling the operators by
+    2^k shifts e and f by k and leaves every scaled value as it is.
     """
     inv = curvature.invariants(s)
-    n = s.n
-    total = inv.b_sq + n * inv.h_sq
-    total = np.asarray(total + (total == 0))  # a zero point has zero sides: divide by 1
-    # sqrt(n) H / |A|, at most 1, so its outer product cannot overflow; the
-    # square roots are taken apart, as n |A|^2 overflows before |A|^2 does
-    u = s.ops.trace(axis1=-2, axis2=-1) / (np.sqrt(n) * np.sqrt(total))[..., None]
-    gram = inv.gram / total[..., None, None] + u[..., :, None] * u[..., None, :]
-    comm_sq = (n * (n - 1) * inv.rho_perp / total) ** 2
-    ddvv, *rest = _invariant_checks(s, inv, tol)
-    return inv, [_on_orbit(ddvv, s.ops, tol), *rest, _lili_sides(comm_sq, gram, tol)]
+    comm_sq, gram, e = inv.scaled
+    b_sq = np.trace(gram, axis1=-2, axis2=-1)
+    ddvv = _result(comm_sq / (b_sq * b_sq + (b_sq == 0)), 1.0 * (b_sq > 0), tol, "ddvv")
+    a, f = scale_pow2(s.ops)  # |A_ij| < 2^f, so |B_ij| < 2^(f + 1) and |n H_a| < n 2^f
+    f = f[..., 0, 0, 0]
+    t = a.trace(axis1=-2, axis2=-1)  # n H 2^-f
+    gram = np.ldexp(gram, 2 * (e - f)[..., None, None]) + t[..., :, None] * t[..., None, :] / s.n
+    total = np.trace(gram, axis1=-2, axis2=-1)
+    lili = (np.ldexp(comm_sq, 4 * (e - f)) + sum_sq(gram, 2)) / (total * total + (total == 0))
+    return inv, [_on_orbit(ddvv, s.ops, tol), *_invariant_checks(s, inv, tol),
+                 _result(lili, 1.5 * (total > 0), tol, "li-li")]
 
 
 def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
@@ -236,9 +221,9 @@ def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     m = 1 the normal curvature vanishes and the codimension constant is
     irrelevant; it is taken as 1 so the check degenerates to Chen's bound.
     """
-    return tuple(_invariant_checks(s, curvature.invariants(s), tol)[2:])
+    return tuple(_invariant_checks(s, curvature.invariants(s), tol)[1:])
 
 
 def chen_check(s: ShapeOperatorSet, tol=DEFAULT_TOL) -> CheckResult:
     """Normally-flat bound rho <= |H|^2 + c; equality iff b vanishes at the point's scale."""
-    return _invariant_checks(s, curvature.invariants(s), tol)[1]
+    return _invariant_checks(s, curvature.invariants(s), tol)[0]

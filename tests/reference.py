@@ -2,8 +2,10 @@
 
 The library computes on whole (..., m, n, n) stacks; these helpers take one
 matrix or one pair at a time, so a test can check a kernel entry by entry
-against a formula written out on its own.  `curvature_form_bound` decides
-the DDVV bound of one point in the form that the check bundle does not use.
+against a formula written out on its own.  `ddvv_sides` and `lili_sides`
+sum the two degree-0 bounds of the check bundle pair by pair, and
+`curvature_form_bound` decides the DDVV bound of one point in the form that
+the check bundle does not use.
 """
 
 import numpy as np
@@ -57,6 +59,36 @@ def random_traceless_sym(n, seed):
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
     return traceless_project(rng.standard_normal((n, n)))
+
+
+def _pow2_scaled(t):
+    """The matrices of `t` times 2^-e, with 2^e just above their largest
+    entry: exact, and small enough that no product or sum of squares overflows."""
+    t = np.asarray(t, dtype=float)
+    peak = float(np.max(np.abs(t)))
+    return [np.ldexp(b, -np.frexp(peak)[1]) for b in t]
+
+
+def _sides(terms, total, constant):
+    """(terms / total^2, constant), or (0, 0) where the total is 0."""
+    return (terms / total**2, constant) if total > 0 else (0.0, 0.0)
+
+
+def ddvv_sides(t):
+    """(S / |B|^4, 1) of one traceless tuple, S = sum over ordered pairs of
+    ||[B_a, B_b]||^2, one pair at a time; (0, 0) for a zero tuple."""
+    b = _pow2_scaled(t)
+    s = sum(frobenius_norm_sq(commutator(x, y)) for x in b for y in b)
+    return _sides(s, sum(frobenius_norm_sq(x) for x in b), 1.0)
+
+
+def lili_sides(t):
+    """((S + sum <B_a, B_b>^2) / |B|^4, 3/2) of one tuple, traceless or not,
+    over all ordered pairs, one pair at a time; (0, 0) for a zero tuple."""
+    b = _pow2_scaled(t)
+    s = sum(frobenius_norm_sq(commutator(x, y)) + frobenius_inner(x, y) ** 2
+            for x in b for y in b)
+    return _sides(s, sum(frobenius_norm_sq(x) for x in b), 1.5)
 
 
 def curvature_form_bound(inv, n, tol):

@@ -260,6 +260,36 @@ def test_family_reports_the_bundle_at_every_scale(family, tmp_path):
         assert (checks[0]["holds"], checks[0]["equality"]) == expected, argv
 
 
+@pytest.mark.parametrize("family, params, csf_c, flags", [
+    ("minimal-c3", {"--a": 1.0, "--b": 1.0, "--c": 0.3}, 1.0, (True, False)),
+    ("s3-equality", {"--a": 1.0}, 0.5, (True, True))])
+def test_csf_flags_do_not_depend_on_scale(family, params, csf_c, flags, tmp_path):
+    # the csf sides have degree 4, and so does the tolerance: the parameters
+    # at 2^k and c at 4^k give the same flags
+    out = tmp_path / "fam.json"
+    for k in range(-40, 41):
+        argv = ["family", family, "--csf-c", repr(math.ldexp(csf_c, 2 * k))]
+        for name, value in params.items():
+            argv += [name, repr(math.ldexp(value, k))]
+        assert cli.main([*argv, "--output", str(out)]) == 0, argv
+        csf = json.loads(out.read_text())["checks"][-1]
+        assert csf["label"] == "csf-bound"
+        assert (csf["holds"], csf["equality"]) == flags, argv
+
+
+def test_check_tiny_cdk_point_is_an_equality(tmp_path, capsys):
+    # |b|^2 is subnormal at entries of 1e-160; ddvv and li-li decide at an exact scale
+    ops = np.zeros((3, 4, 4))
+    ops[0, 0, 1] = ops[0, 1, 0] = ops[1, 0, 0] = 0.5
+    ops[1, 1, 1] = -0.5
+    p = tmp_path / "tiny-cdk.json"
+    write_doc(p, {"n": 4, "m": 3, "ambient_c": 0.0, "shape_operators": (1e-160 * ops).tolist()})
+    assert cli.main(["check", "--input", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ddvv ") and lines[0].endswith(" [equality]")
+    assert lines[4].startswith("li-li ") and lines[4].endswith(" [equality]")
+
+
 @pytest.mark.parametrize("argv", [
     ["family", "h-umbilical", "--n", "3", "--lambda", "3", "--mu", "1"],
     ["family", "ultraminimal-c4", "--a", "1", "--b", "0.5", "--c", "0.3"],

@@ -5,7 +5,17 @@ from ddvv import inequalities as ineq
 from ddvv.curvature import ShapeOperatorSet, invariants, traceless_parts
 from ddvv.fuzz import random_shape_set
 from ddvv.matrix_core import random_orthogonal, traceless_project
-from reference import commutator, conjugate, frobenius_norm_sq, random_traceless_sym
+from reference import (
+    commutator, conjugate, ddvv_sides, frobenius_norm_sq, lili_sides, random_traceless_sym)
+
+# the labels of the check bundle of a point, in order
+BUNDLE = ["ddvv", "chen", "weak-codim", "weak-dim", "li-li"]
+
+
+def reference_flags(lhs, rhs, tol=ineq.DEFAULT_TOL):
+    """(holds, equality) of sides of degree 0, with the tolerance tol max(1, |rhs|)."""
+    atol = tol * max(1.0, abs(rhs))
+    return lhs <= rhs + atol, abs(lhs - rhs) <= atol
 
 
 def cdk_pair(mu1=0.5, mu2=0.5, n=2):
@@ -368,10 +378,18 @@ def test_point_checks_match_the_separate_checks():
     for s in sets:
         inv, checks = ineq.point_checks(s)
         assert inv == invariants(s)
-        separate = [ineq.ddvv_check(traceless_parts(s)), ineq.chen_check(s),
-                    *ineq.weak_checks(s), ineq.lili_check(s.ops)]
-        assert [c.label for c in checks] == [c.label for c in separate]
-        for got, want in zip(checks, separate):
+        assert [c.label for c in checks] == BUNDLE
+        # ddvv and li-li against the per-matrix sums: the tuple checks are
+        # views of the bundle, so they cannot serve as its reference
+        parts = traceless_parts(s)
+        on_orbit = ineq.equality_certificate(parts)[1] <= ineq.DEFAULT_TOL
+        for got, (lhs, rhs), certified in ((checks[0], ddvv_sides(parts), on_orbit),
+                                           (checks[4], lili_sides(s.ops), True)):
+            assert got.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+            assert got.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            holds, equality = reference_flags(lhs, rhs)
+            assert (got.holds, got.equality) == (holds, equality and certified)
+        for got, want in zip(checks[1:4], [ineq.chen_check(s), *ineq.weak_checks(s)]):
             assert got.lhs == pytest.approx(want.lhs, rel=1e-12, abs=1e-12)
             assert got.rhs == pytest.approx(want.rhs, rel=1e-12, abs=1e-12)
             assert (got.holds, got.equality) == (want.holds, want.equality)
@@ -394,6 +412,69 @@ def test_flags_do_not_depend_on_scale():
     for scale in (1e-5, 1e-100):
         s = ShapeOperatorSet(scale * (g + g.transpose(0, 2, 1)), ambient_c=0.0)
         assert not any(c.equality for c in ineq.point_checks(s)[1])
+
+
+def _scale_points():
+    """Operators of seeded points of each kind the degree-0 checks tell apart."""
+    rng = np.random.default_rng(71)
+    g = rng.standard_normal((3, 4, 4))
+    g1 = rng.standard_normal((1, 5, 5))
+    return {
+        "random": (g + g.transpose(0, 2, 1)) / 2,
+        "cdk": cdk_tuple(3, 4),
+        "cdk-plus-h": cdk_tuple(3, 4) + np.array([0.7, -1.3, 0.2])[:, None, None] * np.eye(4),
+        "umbilic": np.stack([2.0 * np.eye(3), -np.eye(3)]),
+        "m1": (g1 + g1.transpose(0, 2, 1)) / 2,
+    }
+
+
+@pytest.mark.parametrize("kind", list(_scale_points()))
+def test_degree_0_checks_are_exact_at_every_scale(kind):
+    # ddvv and li-li are ratios of degree 0, decided at exact powers of two
+    # of the point: every 2^k whose entries stay finite and nonzero gives
+    # the same flags and the same sides
+    ops = _scale_points()[kind]
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = np.ldexp(ops, np.arange(-1000, 1001)[:, None, None, None])
+    keep = (np.isfinite(scaled) & ((scaled != 0) == (ops != 0))).all(axis=(1, 2, 3))
+    assert keep.sum() >= 1900
+    base = ineq.point_checks(ShapeOperatorSet(ops))[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the invariants overflow at the top
+        checks = ineq.point_checks(ShapeOperatorSet(scaled[keep]))[1]
+    for i in (0, 4):
+        got, want = checks[i], base[i]
+        assert got.label == want.label
+        assert (got.holds == want.holds).all() and (got.equality == want.equality).all()
+        np.testing.assert_allclose(got.lhs, want.lhs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.rhs, want.rhs, rtol=1e-12, atol=0)
+
+
+def test_lili_rhs_is_exact_at_tiny_scale():
+    # |b|^2 is subnormal at entries of 1e-160; the sides are taken at an exact scale
+    g = np.random.default_rng(3).standard_normal((3, 4, 4))
+    lili = ineq.point_checks(ShapeOperatorSet(1e-160 * (g + g.transpose(0, 2, 1)) / 2))[1][4]
+    assert lili.label == "li-li" and lili.rhs == 1.5 and lili.holds
+
+
+@pytest.mark.parametrize("check", [ineq.ddvv_check, ineq.lili_check])
+def test_tuple_checks_are_views_of_the_bundle(monkeypatch, check):
+    from ddvv import curvature, matrix_core
+
+    calls = []
+
+    def counted(mats):
+        calls.append(np.shape(mats))
+        return matrix_core.commutators_and_gram(mats)
+
+    monkeypatch.setattr(curvature, "commutators_and_gram", counted)
+    monkeypatch.setattr(ineq, "commutators_and_gram", counted)
+    t = np.stack([near_orbit(), rotate(cdk_tuple(3, 4), 5), random_traceless_stack(3, 4, 5)])
+    got = check(t)
+    assert calls == [t.shape]
+    want = ineq.point_checks(ShapeOperatorSet(t))[1][0 if check is ineq.ddvv_check else 4]
+    assert got.label == want.label
+    for field in ("lhs", "rhs", "holds", "equality"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 @pytest.mark.parametrize("lead", [(), (4,)])
@@ -429,7 +510,7 @@ def test_lili_sides_where_n_times_norm_sq_overflows(scale):
     g = np.random.default_rng(67).standard_normal((3, 4, 4))
     parts = traceless_parts(ShapeOperatorSet(g + g.transpose(0, 2, 1)))
     s = ShapeOperatorSet(scale * (parts + np.array([1.0, -2.0, 0.5])[:, None, None] * np.eye(4)))
-    lili, want = ineq.point_checks(s)[1][-1], ineq.lili_check(s.ops)
-    assert lili.lhs == pytest.approx(want.lhs, rel=1e-13)
-    assert lili.rhs == pytest.approx(want.rhs, rel=1e-13)
-    assert (lili.holds, lili.equality) == (want.holds, want.equality)
+    lili, (lhs, rhs) = ineq.point_checks(s)[1][-1], lili_sides(s.ops)
+    assert lili.lhs == pytest.approx(lhs, rel=1e-13)
+    assert lili.rhs == pytest.approx(rhs, rel=1e-13)
+    assert (lili.holds, lili.equality) == reference_flags(lhs, rhs)
