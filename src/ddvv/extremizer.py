@@ -25,7 +25,6 @@ MIN_STEP = 1e-18
 STEP_INIT = 0.1  # the first step of every restart
 STEP_SHRINK = 0.5  # a rejected step is multiplied by this
 GRAD_TOL = 1e-10  # stop once the Riemannian gradient norm is at most this
-STEP_GROWTH = 1.1  # a new iteration first tries the last accepted step times this
 ARMIJO_SIGMA = 1e-4  # accept a gain of at least this times the predicted gain t |g|^2
 FLOOR_ULPS = 8.0  # stop once t |g|^2 <= FLOOR_ULPS eps max(1, |f|), the rounding floor
 BATCH_ENTRIES = 2**22  # entries of the block products of one batch of restarts
@@ -199,10 +198,12 @@ def _evaluate(mats):
 def ascend(config: SearchConfig, starts):
     """Projected gradient ascent with an Armijo step from R starts (R, m, n, n).
 
-    Every restart runs the same algorithm.  Each restart remembers its last
-    accepted step t; a new iteration first tries STEP_GROWTH t (the first
-    iteration tries STEP_INIT) and shrinks the step by STEP_SHRINK until
-    the renormalized candidate raises the value by at least
+    Every restart runs the same algorithm.  The first iteration tries
+    STEP_INIT; after an accepted move s = x_new - x_old, with
+    y = g_new - g_old, the next iteration first tries the Barzilai-Borwein
+    step <s, s> / |<s, y>| (BB1), or the accepted step where that is not
+    finite and positive.  The step shrinks by STEP_SHRINK until the
+    renormalized candidate raises the value by at least
     ARMIJO_SIGMA t |g|^2, with g the Riemannian gradient.  A restart stops
     at GRAD_TOL; with `line_search` once the predicted gain t |g|^2 falls
     to the rounding floor FLOOR_ULPS eps max(1, |f|) of the objective, or
@@ -253,7 +254,11 @@ def ascend(config: SearchConfig, starts):
         cand /= np.sqrt(_inner(cand, cand))[:, None, None, None]  # as `normalize`
         cand_value, cand_rgrad, cand_gain = _evaluate(cand)
         up = cand_value >= value + ARMIJO_SIGMA * step * gain
-        step *= np.where(up, STEP_GROWTH, STEP_SHRINK)
+        # BB1 step of the move: <s, s> / |<s, y>|, s = x_new - x_old, y = g_new - g_old
+        s = cand - x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = _inner(s, s) / np.abs(_inner(s, cand_rgrad - rgrad))
+        step = np.where(up, np.where(np.isfinite(bb) & (bb > 0), bb, step), STEP_SHRINK * step)
         down = ~up
         if down.any():  # a rejected restart keeps its iterate
             cand[down], cand_value[down] = x[down], value[down]

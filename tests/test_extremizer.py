@@ -91,6 +91,34 @@ def test_ascend_monotone_and_on_sphere():
     assert value == pytest.approx(ex.objective(x), abs=1e-12)
 
 
+def test_trial_step_after_an_accepted_move_is_the_bb_step(monkeypatch):
+    # replay one restart from its recorded evaluations: the first trial step is STEP_INIT,
+    # a rejection halves the step, and an accepted move s = x_new - x_old with
+    # y = g_new - g_old sets the next trial step to <s, s> / |<s, y>|
+    evaluations, original = [], ex._evaluate
+
+    def record(mats):
+        result = original(mats)
+        evaluations.append((mats.copy(),) + tuple(a.copy() for a in result))
+        return result
+
+    monkeypatch.setattr(ex, "_evaluate", record)
+    (value,), _, (outcome,) = ex.ascend(ex.SearchConfig(n=4, m=3), random_tuple(3, 4, 8)[None])
+    (x, f, g, gain), step, moves = evaluations[0], ex.STEP_INIT, 0
+    for cand, cand_f, cand_g, cand_gain in evaluations[1:]:
+        expected = x + step * g
+        expected /= np.sqrt(ex._inner(expected, expected))[:, None, None, None]
+        np.testing.assert_allclose(cand, expected, rtol=0, atol=1e-15)
+        if cand_f[0] >= f[0] + ex.ARMIJO_SIGMA * step * gain[0]:
+            s, y = cand - x, cand_g - g
+            step = ex._inner(s, s)[0] / abs(ex._inner(s, y)[0])
+            x, f, g, gain = cand, cand_f, cand_g, cand_gain
+            moves += 1
+        else:
+            step *= ex.STEP_SHRINK
+    assert f[0] == value and moves == outcome.iterations - 1
+
+
 @pytest.mark.parametrize("n,m,restarts,expect", [
     (2, 2, 8, 1.0),
     (3, 3, 16, 1.0),
@@ -167,13 +195,25 @@ def test_report_lists_stop_reasons():
         assert entry["converged"] == (entry["stop_reason"] != "max_iters")
 
 
-def test_multistart_restarts_match_single_ascents():
+def test_multistart_restarts_match_single_ascents(monkeypatch):
+    # each restart keeps its own step, so the batch gives every restart's own ascent bit for bit
     config = ex.SearchConfig(n=4, m=3, restarts=8, seed=17)
+    ascend, tuples = ex.ascend, []
+
+    def record(config, starts):
+        result = ascend(config, starts)
+        tuples.append(result[1])
+        return result
+
+    monkeypatch.setattr(ex, "ascend", record)
     report = ex.multistart(config)
-    starts = stream_starts(config, 8)
+    (batch,) = tuples
+    starts = traceless_project(stream_starts(config, 8))  # as multistart hands them over
     for k, outcome in enumerate(report.per_restart):
-        (value,), _, _ = ex.ascend(config, starts[k][None])
-        assert outcome.value == pytest.approx(value, abs=1e-12)
+        (value,), (x,), (alone,) = ascend(config, starts[k][None])
+        assert outcome.value == value
+        assert x.tobytes() == batch[k].tobytes()
+        assert (outcome.iterations, outcome.stop_reason) == (alone.iterations, alone.stop_reason)
 
 
 def test_multistart_batches_give_the_same_report(monkeypatch):
@@ -294,7 +334,7 @@ def test_multistart_reaches_the_ceiling_in_few_iterations():
     report = ex.multistart(ex.SearchConfig(n=6, m=6, restarts=8, seed=1))
     for outcome in report.per_restart:
         assert outcome.value == pytest.approx(1.0, abs=1e-9)
-    assert np.median([o.iterations for o in report.per_restart]) <= 40
+    assert np.median([o.iterations for o in report.per_restart]) <= 30
 
 
 @pytest.mark.parametrize("n,m", [(6, 6), (3, 8), (8, 3)])
