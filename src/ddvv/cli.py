@@ -103,10 +103,11 @@ _INVARIANTS = operator.attrgetter(*curvature._REPORT_FIELDS)
 
 
 @functools.lru_cache(maxsize=64)
-def _check_layout(n, m, labelled, square, count):
+def _check_layout(n, m, labelled, count):
     """The text of a `check` report on a point of m operators n x n, with
-    `count` checks, and a %s for each leaf that varies between points; with
-    how to fill the echo of the operators.
+    `count` checks, and a %s for each leaf that varies between points (the
+    Lagrangian symmetry has one where m == n); with how to fill the echo of
+    the operators.
 
     The text is `_json_text` of a report whose leaves are such slots, so
     every other character is what the dict report has.  The echo has one
@@ -126,7 +127,7 @@ def _check_layout(n, m, labelled, square, count):
         "input": echo,
         "invariants": dict.fromkeys(curvature._REPORT_FIELDS, slot),
         "checks": [check] * count,
-        "lagrangian_symmetry": slot if square else None,
+        "lagrangian_symmetry": slot if m == n else None,
     }
     text = _json_text(report).replace("%", "%%").replace('"%%s"', "%s")
     iu, ju = np.triu_indices(n)
@@ -143,8 +144,7 @@ def _check_report_text(report):
     """The text of the dict report of `check` (`_json_text` of it), filled
     into the layout of its shape in one %."""
     s, label, inv, checks, lagr = report
-    layout, triangles, entries = _check_layout(
-        s.n, s.m, label is not None, lagr is not None, len(checks))
+    layout, triangles, entries = _check_layout(s.n, s.m, label is not None, len(checks))
     # the operators are validated, so finite and bitwise symmetric: the echo
     # formats each entry of their upper triangles once
     echo = entries(list(map(float.__repr__, s.ops.take(triangles).tolist())))

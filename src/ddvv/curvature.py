@@ -88,9 +88,9 @@ def _relative_traces(mats):
 class CurvatureInvariants:
     """The invariants of a point, or arrays of them for a stack.
 
-    `scaled` is (S, G, e) for the checks, not part of a report: the
-    commutator sum S = sum_{a, b} ||[B_a, B_b]||^2 and the Gram matrix
-    G = <B_a, B_b> of the traceless parts scaled exactly by 2^-e.
+    `scaled` is (B 2^-e, S, G, e) for the checks, not part of a report: the
+    traceless parts scaled exactly by 2^-e, their commutator sum
+    S = sum_{a, b} ||[B_a, B_b]||^2 and their Gram matrix G = <B_a, B_b>.
     """
 
     rho: float
@@ -195,5 +195,5 @@ def invariants(s: ShapeOperatorSet) -> CurvatureInvariants:
         b_sq=scalar_or_array(b_sq),
         slack=scalar_or_array(slack),
         ambient_c=s.ambient_c,
-        scaled=(comm_sq, gram, e),
+        scaled=(scaled, comm_sq, gram, e),
     )

@@ -4,7 +4,8 @@ Each check returns a CheckResult with the two sides, a holds flag and an
 equality flag.  The bundle `point_checks` decides ddvv and li-li, of degree
 0, as ratios at an exact power-of-two scale, and the curvature checks with
 a tolerance that scales with the point; `ddvv_check` and `lili_check` are
-its views on a matrix tuple.  Every check decides elementwise: a stack of
+its views on a matrix tuple, `chen_check` and `weak_checks` its views on a
+point.  Every check decides elementwise: a stack of
 points or tuples, with leading axes, gives a CheckResult of arrays; one
 point gives Python floats and bools.
 """
@@ -64,9 +65,9 @@ def _bound(lhs, rhs, tol, label, atol, equality=None):
 def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     """The DDVV bound of traceless symmetric tuples, the ddvv check of
     `point_checks` on them as shape operators; rejects tuples that are not
-    traceless within `tol`."""
+    traceless within `tol` of their largest entry, at every scale."""
     s = ShapeOperatorSet(t)
-    if np.any(_relative_traces(s.ops) > tol):
+    if np.any(_relative_traces(scale_pow2(s.ops)[0]) > tol):
         raise ValueError("ddvv_check requires traceless matrices")
     with np.errstate(over="ignore", invalid="ignore"):  # |b|^2, not reported, may overflow
         return point_checks(s, tol)[1][0]
@@ -113,20 +114,6 @@ def equality_certificate(t):
             scalar_or_array(residual.reshape(mats.shape[:-3])))
 
 
-def _on_orbit(check, ops, tol):
-    """`check` with its equality flag kept only where the traceless parts of
-    `ops` pass `equality_certificate` within `tol`.
-
-    Only the tuples whose sides are equal get a certificate; holds stays as
-    the sides decide it.
-    """
-    equality = np.array(check.equality)
-    if not equality.any():
-        return check
-    equality[equality] = equality_certificate(traceless_project(ops[equality]))[1] <= tol
-    return replace(check, equality=scalar_or_array(equality))
-
-
 def cdk_check(b1, b2, tol=DEFAULT_TOL) -> CheckResult:
     """Pairwise commutator bound ||[B1, B2]||^2 <= 2 ||B1||^2 ||B2||^2.
 
@@ -168,62 +155,67 @@ def weak_constant_n(n: int) -> float:
     return float(np.sqrt((2.0 / 3.0) * (n * n + n - 3) / (n * n + n - 4)))
 
 
-def _invariant_checks(s: ShapeOperatorSet, inv, tol):
-    """chen, weak-codim and weak-dim from the invariants `inv` of `s`.
-
-    They compare sides that are signed sums of terms bounded by the point's
-    degree-2 scale |c| + |H|^2 + |b|^2 / (n(n-1)), and take their tolerance
-    relative to it: scaling the operators by 2^k and c by 4^k scales every
-    invariant exactly by 4^k and leaves every flag unchanged.  Chen's sides
-    differ by exactly |b|^2 / (n(n-1)), which decides its equality.
-    """
-    n, c = s.n, inv.ambient_c
-    cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
-    gap = inv.b_sq / (n * (n - 1))
-    atol = tol * (abs(c) + inv.h_sq + gap)
-    return [
-        _bound(inv.rho, inv.h_sq + c, tol, "chen", atol, gap <= atol),
-        _bound(inv.rho, inv.h_sq - cm * inv.rho_perp + c, tol, "weak-codim", atol),
-        _bound(inv.rho, inv.h_sq - weak_constant_n(n) * inv.rho_perp + c, tol, "weak-dim", atol),
-    ]
-
-
 def point_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     """(invariants, [ddvv, chen, weak-codim, weak-dim, li-li]) of a point or a
     stack of points, from one `curvature.invariants` evaluation.
 
     ddvv and li-li have degree 0 and are decided at exact scales, off the
-    commutator sum S and Gram matrix G of B 2^-e of the invariants: ddvv is
-    S / (tr G)^2 against 1.  Li-Li takes A_a = B_a + H_a I at the scale
-    2^-f of `scale_pow2` of A: [A_a, A_b] = [B_a, B_b] and <A_a, A_b> =
-    <B_a, B_b> + n H_a H_b, so its sides are (S + sum <A_a, A_b>^2) / |A|^4
-    and 3/2.  A zero b, or point, gives 0 and 0.  Scaling the operators by
-    2^k shifts e and f by k and leaves every scaled value as it is.
+    parts B 2^-e, commutator sum S and Gram matrix G of the invariants: ddvv
+    is S / (tr G)^2 against 1, and its equality is kept only where
+    `equality_certificate` of B 2^-e is within `tol`; only the points whose
+    sides agree get a certificate, and holds stays as the sides decide it.
+    Li-Li takes A_a = B_a + H_a I at the scale 2^-f of `scale_pow2` of A:
+    [A_a, A_b] = [B_a, B_b] and <A_a, A_b> = <B_a, B_b> + n H_a H_b, so its
+    sides are (S + sum <A_a, A_b>^2) / |A|^4 and 3/2.  A zero b, or point,
+    gives 0 and 0.  Scaling the operators by 2^k shifts e and f by k and
+    leaves every scaled value as it is.
+
+    chen and weak-* compare sides that are signed sums of terms bounded by
+    the point's degree-2 scale |c| + |H|^2 + |b|^2 / (n(n-1)), and take their
+    tolerance relative to it: scaling the operators by 2^k and c by 4^k
+    scales every invariant exactly by 4^k and leaves every flag unchanged.
+    Chen's sides differ by exactly |b|^2 / (n(n-1)), which decides its
+    equality.
     """
     inv = curvature.invariants(s)
-    comm_sq, gram, e = inv.scaled
+    parts, comm_sq, gram, e = inv.scaled
     b_sq = np.trace(gram, axis1=-2, axis2=-1)
     ddvv = _result(comm_sq / (b_sq * b_sq + (b_sq == 0)), 1.0 * (b_sq > 0), tol, "ddvv")
+    equal = np.array(ddvv.equality)
+    if equal.any():
+        equal[equal] = equality_certificate(parts[equal])[1] <= tol
+        ddvv = replace(ddvv, equality=scalar_or_array(equal))
     a, f = scale_pow2(s.ops)  # |A_ij| < 2^f, so |B_ij| < 2^(f + 1) and |n H_a| < n 2^f
     f = f[..., 0, 0, 0]
     t = a.trace(axis1=-2, axis2=-1)  # n H 2^-f
     gram = np.ldexp(gram, 2 * (e - f)[..., None, None]) + t[..., :, None] * t[..., None, :] / s.n
     total = np.trace(gram, axis1=-2, axis2=-1)
     lili = (np.ldexp(comm_sq, 4 * (e - f)) + sum_sq(gram, 2)) / (total * total + (total == 0))
-    return inv, [_on_orbit(ddvv, s.ops, tol), *_invariant_checks(s, inv, tol),
-                 _result(lili, 1.5 * (total > 0), tol, "li-li")]
+    n, c = s.n, inv.ambient_c
+    cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
+    gap = inv.b_sq / (n * (n - 1))
+    atol = tol * (abs(c) + inv.h_sq + gap)
+    return inv, [
+        ddvv,
+        _bound(inv.rho, inv.h_sq + c, tol, "chen", atol, gap <= atol),
+        _bound(inv.rho, inv.h_sq - cm * inv.rho_perp + c, tol, "weak-codim", atol),
+        _bound(inv.rho, inv.h_sq - weak_constant_n(n) * inv.rho_perp + c, tol, "weak-dim", atol),
+        _result(lili, 1.5 * (total > 0), tol, "li-li"),
+    ]
 
 
 def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
-    """The two provable weakenings rho <= |H|^2 - C rho_perp + c.
+    """The two provable weakenings rho <= |H|^2 - C rho_perp + c, the weak-*
+    checks of `point_checks`.
 
     Returns (codimension-constant check, dimension-constant check).  For
     m = 1 the normal curvature vanishes and the codimension constant is
     irrelevant; it is taken as 1 so the check degenerates to Chen's bound.
     """
-    return tuple(_invariant_checks(s, curvature.invariants(s), tol)[1:])
+    return tuple(point_checks(s, tol)[1][2:4])
 
 
 def chen_check(s: ShapeOperatorSet, tol=DEFAULT_TOL) -> CheckResult:
-    """Normally-flat bound rho <= |H|^2 + c; equality iff b vanishes at the point's scale."""
-    return _invariant_checks(s, curvature.invariants(s), tol)[0]
+    """Normally-flat bound rho <= |H|^2 + c, the chen check of `point_checks`;
+    equality iff b vanishes at the point's scale."""
+    return point_checks(s, tol)[1][1]

@@ -22,14 +22,15 @@ def lagrangian_symmetry_check(s: ShapeOperatorSet, tol=DEFAULT_TOL) -> bool:
     """Total symmetry of C[a, i, j] = (A_a)_ij under all index permutations.
 
     The operators are symmetric in (i, j) already, so swapping the normal
-    index with a tangent index is the only condition left to verify.
+    index with a tangent index is the only condition left to verify.  The
+    defect is compared with tol max|C|, so no flag depends on the scale; a
+    zero cube is symmetric.
     """
     if s.m != s.n:
         raise ValueError("Lagrangian frame requires codimension == dimension")
     cube = s.ops
-    scale = max(1.0, float(np.max(np.abs(cube))))
     defect = float(np.max(np.abs(cube - np.transpose(cube, (1, 0, 2)))))
-    return defect <= tol * scale
+    return defect <= tol * float(np.max(np.abs(cube)))
 
 
 def h_umbilical(n, lam, mu) -> ShapeOperatorSet:
@@ -117,9 +118,7 @@ def csf_invariants(s: ShapeOperatorSet, c: float) -> CurvatureInvariants:
     comes from one `invariants` evaluation.  At c = 0 these are the flat
     invariants, rho_perp to rounding.
     """
-    if s.m != s.n:
-        raise ValueError("Lagrangian frame requires codimension == dimension")
-    if not lagrangian_symmetry_check(s):
+    if not lagrangian_symmetry_check(s):  # which also rejects m != n
         raise ValueError("operators fail the Lagrangian symmetry property")
     nn = s.n * (s.n - 1)
     inv = invariants(ShapeOperatorSet(s.ops, ambient_c=c))

@@ -3,13 +3,16 @@
 The library computes on whole (..., m, n, n) stacks; these helpers take one
 matrix or one pair at a time, so a test can check a kernel entry by entry
 against a formula written out on its own.  `ddvv_sides` and `lili_sides`
-sum the two degree-0 bounds of the check bundle pair by pair, and
-`curvature_form_bound` decides the DDVV bound of one point in the form that
-the check bundle does not use.
+sum the two degree-0 bounds of the check bundle pair by pair,
+`curvature_sides` takes the sides of its curvature bounds from the Gauss and
+Ricci component sums, and `curvature_form_bound` decides the DDVV bound of
+one point in the form that the check bundle does not use.
 """
 
 import numpy as np
 
+from ddvv.curvature import mean_curvature_sq, rho_direct, rho_perp_direct
+from ddvv.inequalities import weak_constant_m, weak_constant_n
 from ddvv.matrix_core import traceless_project
 
 
@@ -89,6 +92,21 @@ def lili_sides(t):
     s = sum(frobenius_norm_sq(commutator(x, y)) + frobenius_inner(x, y) ** 2
             for x in b for y in b)
     return _sides(s, sum(frobenius_norm_sq(x) for x in b), 1.5)
+
+
+def curvature_sides(s):
+    """([(lhs, rhs) of chen, weak-codim, weak-dim], degree-2 scale) of one
+    point, rho and rho_perp from the Gauss and Ricci component sums.
+
+    The scale is |c| + |H|^2 + |b|^2 / (n(n-1)), with |b|^2 summed matrix by
+    matrix; the codimension constant is 1 for m = 1.
+    """
+    n, c = s.n, s.ambient_c
+    rho, rho_perp, h_sq = rho_direct(s), rho_perp_direct(s), mean_curvature_sq(s)
+    cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
+    scale = abs(c) + h_sq + sum(frobenius_norm_sq(b) for b in traceless_project(s.ops)) / (n * (n - 1))
+    rhs = (h_sq + c, h_sq - cm * rho_perp + c, h_sq - weak_constant_n(n) * rho_perp + c)
+    return [(rho, r) for r in rhs], scale
 
 
 def curvature_form_bound(inv, n, tol):

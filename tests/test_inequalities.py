@@ -4,9 +4,11 @@ import pytest
 from ddvv import inequalities as ineq
 from ddvv.curvature import ShapeOperatorSet, invariants, traceless_parts
 from ddvv.fuzz import random_shape_set
-from ddvv.matrix_core import random_orthogonal, traceless_project
+from ddvv.lagrangian import eq_5_1_form
+from ddvv.matrix_core import random_orthogonal, scale_pow2, traceless_project
 from reference import (
-    commutator, conjugate, ddvv_sides, frobenius_norm_sq, lili_sides, random_traceless_sym)
+    commutator, conjugate, curvature_sides, ddvv_sides, frobenius_norm_sq, lili_sides,
+    random_traceless_sym)
 
 # the labels of the check bundle of a point, in order
 BUNDLE = ["ddvv", "chen", "weak-codim", "weak-dim", "li-li"]
@@ -82,6 +84,14 @@ def test_ddvv_single_matrix():
 def test_ddvv_rejects_nonzero_trace():
     with pytest.raises(ValueError):
         ineq.ddvv_check(np.eye(3)[None])
+    # the trace is measured relative to the tuple's largest entry, so a
+    # tuple of relative trace 1 is rejected at 2^-40 as at 1
+    traced = np.stack([np.diag([1.0, 0.0, 0.0]), random_traceless_sym(3, 1)])
+    traceless = random_traceless_stack(2, 3, 9)
+    for k in range(-60, 61):
+        with pytest.raises(ValueError, match="traceless"):
+            ineq.ddvv_check(np.ldexp(traced, k))
+        assert ineq.ddvv_check(np.ldexp(traceless, k)).holds
 
 
 def test_tuple_checks_need_n_at_least_2():
@@ -181,8 +191,8 @@ def test_tuple_check_sides_at_extreme_scales(scale):
     t = random_traceless_stack(3, 4, 5)
     checks = (ineq.ddvv_check, ineq.lili_check, lambda x: ineq.cdk_check(x[0], x[1]))
     for check in checks:
-        # ddvv_check's trace test squares entries too; an inf norm passes it,
-        # and no overflow warning escapes
+        # ddvv_check's trace test squares the entries of the tuple of
+        # scale_pow2, so no overflow warning escapes
         want, got = check(t), check(scale * t)
         assert want.lhs > 0.1
         assert got.lhs == pytest.approx(want.lhs, rel=1e-12)
@@ -365,7 +375,7 @@ def test_ddvv_proved_regimes_fuzz():
         assert ineq.ddvv_check(traceless_parts(s)).holds
 
 
-def test_point_checks_match_the_separate_checks():
+def test_point_checks_match_the_separate_checks(monkeypatch):
     rng = np.random.default_rng(43)
     b1, b2 = cdk_pair()
     sets = [ShapeOperatorSet(np.stack([b1, b2])),
@@ -375,24 +385,61 @@ def test_point_checks_match_the_separate_checks():
         n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
         s = random_shape_set(n, m, rng)
         sets.append(ShapeOperatorSet(s.ops * 10.0 ** rng.uniform(-3, 3), s.ambient_c))
+    # a stack: the embedded CDK pair, bare and rotated with a mean curvature,
+    # an eq51 point, the CDK pair 1e-5 off its orbit and random points
+    g = rng.standard_normal((4, 4, 4, 4))
+    stack = ShapeOperatorSet(np.stack([
+        cdk_tuple(4, 4),
+        rotate(cdk_tuple(4, 4), 3) + np.array([0.4, -1.0, 0.0, 0.2])[:, None, None] * np.eye(4),
+        eq_5_1_form(1.0, -0.2).ops, near_orbit(4, 4), *(g + g.swapaxes(-1, -2))]),
+        rng.uniform(-1.0, 1.0, 8))
+    sets += [ShapeOperatorSet(ops, c) for ops, c in zip(stack.ops, stack.ambient_c)]
+    certificate, certified = ineq.equality_certificate, []
+
+    def recorded(t):
+        certified.append(t)
+        return certificate(t)
+
+    monkeypatch.setattr(ineq, "equality_certificate", recorded)
+    agree = []  # of each point, whether its ddvv sides agree
     for s in sets:
+        certified.clear()
         inv, checks = ineq.point_checks(s)
         assert inv == invariants(s)
         assert [c.label for c in checks] == BUNDLE
         # ddvv and li-li against the per-matrix sums: the tuple checks are
         # views of the bundle, so they cannot serve as its reference
         parts = traceless_parts(s)
-        on_orbit = ineq.equality_certificate(parts)[1] <= ineq.DEFAULT_TOL
-        for got, (lhs, rhs), certified in ((checks[0], ddvv_sides(parts), on_orbit),
-                                           (checks[4], lili_sides(s.ops), True)):
+        on_orbit = certificate(parts)[1] <= ineq.DEFAULT_TOL
+        for got, (lhs, rhs), certified_ok in ((checks[0], ddvv_sides(parts), on_orbit),
+                                              (checks[4], lili_sides(s.ops), True)):
             assert got.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
             assert got.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
             holds, equality = reference_flags(lhs, rhs)
-            assert (got.holds, got.equality) == (holds, equality and certified)
-        for got, want in zip(checks[1:4], [ineq.chen_check(s), *ineq.weak_checks(s)]):
-            assert got.lhs == pytest.approx(want.lhs, rel=1e-12, abs=1e-12)
-            assert got.rhs == pytest.approx(want.rhs, rel=1e-12, abs=1e-12)
-            assert (got.holds, got.equality) == (want.holds, want.equality)
+            assert (got.holds, got.equality) == (holds, equality and certified_ok)
+        # the certificate reads the parts of the invariants, as they are
+        sides_agree = reference_flags(*ddvv_sides(parts))[1]
+        assert len(certified) == sides_agree
+        if sides_agree:
+            np.testing.assert_array_equal(certified[0], inv.scaled[0][None])
+        np.testing.assert_array_equal(inv.scaled[0], scale_pow2(parts)[0])
+        agree.append(sides_agree)
+        assert checks[1] == ineq.chen_check(s) and checks[2:4] == list(ineq.weak_checks(s))
+        # chen and weak-* against the Gauss and Ricci sums, at the degree-2 scale
+        sides, scale = curvature_sides(s)
+        atol = ineq.DEFAULT_TOL * scale
+        for got, (lhs, rhs) in zip(checks[1:4], sides):
+            assert got.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12 * scale)
+            assert got.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-12 * scale)
+            equality = abs(lhs - rhs) <= atol
+            assert (got.holds, got.equality) == (equality or lhs <= rhs + atol, equality)
+    agree = agree[-len(stack.ops):]  # of the points of the stack
+    assert agree == [True] * 4 + [False] * 4
+    certified.clear()
+    inv, checks = ineq.point_checks(stack)
+    (arg,) = certified
+    np.testing.assert_array_equal(arg, inv.scaled[0][np.array(agree)])
+    assert list(checks[0].equality) == [True] * 3 + [False] * 5
 
 
 def test_flags_do_not_depend_on_scale():

@@ -37,6 +37,19 @@ def test_symmetry_check_generic_failure_and_dim_guard():
         lg.lagrangian_symmetry_check(random_shape_set(3, 2, np.random.default_rng(5)))
 
 
+def test_symmetry_check_does_not_depend_on_scale():
+    # the defect is measured relative to the largest entry, so a random
+    # cube far below unit size is no Lagrangian point
+    cubes = {False: random_shape_set(3, 3, np.random.default_rng(4)).ops,
+             True: lg.minimal_lagrangian_c3(1.0, 0.2, 0.3, 0.4).ops}
+    for want, cube in cubes.items():
+        for k in range(-60, 61):
+            assert lg.lagrangian_symmetry_check(ShapeOperatorSet(np.ldexp(cube, k))) is want
+    assert lg.lagrangian_symmetry_check(ShapeOperatorSet(np.zeros((3, 3, 3))))
+    with pytest.raises(ValueError, match="Lagrangian symmetry"):
+        lg.csf_invariants(ShapeOperatorSet(1e-12 * cubes[False]), 0.5)
+
+
 ### H-umbilical family
 
 
