@@ -21,7 +21,6 @@ from .matrix_core import commutators_and_gram, sum_sq, traceless_project
 VIOLATION_THRESHOLD = 1.0 + 1e-6
 STOP_REASONS = ("grad_tol", "line_search", "max_iters")
 RUNNING, STOP_GRAD_TOL, STOP_LINE_SEARCH, STOP_MAX_ITERS = -1, 0, 1, 2  # STOP_REASONS indices
-MIN_STEP = 1e-18
 STEP_INIT = 0.1  # the first step of every restart
 STEP_SHRINK = 0.5  # a rejected step is multiplied by this
 GRAD_TOL = 1e-10  # stop once the Riemannian gradient norm is at most this
@@ -206,9 +205,9 @@ def ascend(config: SearchConfig, starts):
     renormalized candidate raises the value by at least
     ARMIJO_SIGMA t |g|^2, with g the Riemannian gradient.  A restart stops
     at GRAD_TOL; with `line_search` once the predicted gain t |g|^2 falls
-    to the rounding floor FLOOR_ULPS eps max(1, |f|) of the objective, or
-    the step to MIN_STEP; or after `max_iters` iterations.  Iterates stay on
-    the sphere and the objective never decreases between accepted iterates.
+    to the rounding floor FLOOR_ULPS eps max(1, f) of the objective; or after
+    `max_iters` iterations.  Iterates stay on the sphere and the objective
+    never decreases between accepted iterates.
 
     The restarts advance together: each pass evaluates the value and the
     Riemannian gradient of one candidate per live restart in one batched
@@ -236,7 +235,7 @@ def ascend(config: SearchConfig, starts):
     stop = np.where(np.sqrt(gain) <= GRAD_TOL, STOP_GRAD_TOL, RUNNING)
     floor = FLOOR_ULPS * np.finfo(float).eps
     while True:
-        stalled = (step * gain <= floor * np.maximum(1.0, np.abs(value))) | (step <= MIN_STEP)
+        stalled = step * gain <= floor * np.maximum(1.0, value)  # value >= 0, see `_evaluate`
         stop[(stop == RUNNING) & stalled] = STOP_LINE_SEARCH
         done = stop != RUNNING
         if done.any():  # retire the stopped restarts from the working arrays

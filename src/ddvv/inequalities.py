@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import curvature
-from .curvature import ShapeOperatorSet, _relative_traces
+from .curvature import ShapeOperatorSet
 from .matrix_core import (
     commutators_and_gram, scalar_or_array, scale_pow2, sum_sq, traceless_project, unit_stack)
 
@@ -67,10 +67,11 @@ def ddvv_check(t, tol=DEFAULT_TOL) -> CheckResult:
     `point_checks` on them as shape operators; rejects tuples that are not
     traceless within `tol` of their largest entry, at every scale."""
     s = ShapeOperatorSet(t)
-    if np.any(_relative_traces(scale_pow2(s.ops)[0]) > tol):
+    b = scale_pow2(s.ops)[0]  # entries below 1: |B_a|^2 cannot overflow
+    norms = np.sqrt((b * b).sum(axis=(-2, -1)))
+    if np.any(np.abs(b.trace(axis1=-2, axis2=-1)) / np.maximum(1.0, norms) > tol):
         raise ValueError("ddvv_check requires traceless matrices")
-    with np.errstate(over="ignore", invalid="ignore"):  # |b|^2, not reported, may overflow
-        return point_checks(s, tol)[1][0]
+    return point_checks(s, tol)[1][0]
 
 
 def equality_certificate(t):
@@ -130,8 +131,7 @@ def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
     """Commutator plus Gram-square bound with constant 3/2 of symmetric
     tuples, traceless or not, the li-li check of `point_checks` on them as
     shape operators."""
-    with np.errstate(over="ignore", invalid="ignore"):  # as in ddvv_check
-        return point_checks(ShapeOperatorSet(t), tol)[1][4]
+    return point_checks(ShapeOperatorSet(t), tol)[1][4]
 
 
 @functools.cache
@@ -175,7 +175,7 @@ def point_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     tolerance relative to it: scaling the operators by 2^k and c by 4^k
     scales every invariant exactly by 4^k and leaves every flag unchanged.
     Chen's sides differ by exactly |b|^2 / (n(n-1)), which decides its
-    equality.
+    equality.  Overflow raises no warning, in the bundle or any of its views.
     """
     inv = curvature.invariants(s)
     parts, comm_sq, gram, e = inv.scaled
@@ -193,15 +193,17 @@ def point_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     lili = (np.ldexp(comm_sq, 4 * (e - f)) + sum_sq(gram, 2)) / (total * total + (total == 0))
     n, c = s.n, inv.ambient_c
     cm = weak_constant_m(s.m) if s.m >= 2 else 1.0
-    gap = inv.b_sq / (n * (n - 1))
-    atol = tol * (abs(c) + inv.h_sq + gap)
-    return inv, [
-        ddvv,
-        _bound(inv.rho, inv.h_sq + c, tol, "chen", atol, gap <= atol),
-        _bound(inv.rho, inv.h_sq - cm * inv.rho_perp + c, tol, "weak-codim", atol),
-        _bound(inv.rho, inv.h_sq - weak_constant_n(n) * inv.rho_perp + c, tol, "weak-dim", atol),
-        _result(lili, 1.5 * (total > 0), tol, "li-li"),
-    ]
+    cn = weak_constant_n(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # the degree-2 sides may overflow
+        gap = inv.b_sq / (n * (n - 1))
+        atol = tol * (abs(c) + inv.h_sq + gap)
+        return inv, [
+            ddvv,
+            _bound(inv.rho, inv.h_sq + c, tol, "chen", atol, gap <= atol),
+            _bound(inv.rho, inv.h_sq - cm * inv.rho_perp + c, tol, "weak-codim", atol),
+            _bound(inv.rho, inv.h_sq - cn * inv.rho_perp + c, tol, "weak-dim", atol),
+            _result(lili, 1.5 * (total > 0), tol, "li-li"),
+        ]
 
 
 def weak_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):

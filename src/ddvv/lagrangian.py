@@ -18,19 +18,19 @@ from .inequalities import DEFAULT_TOL, CheckResult, _bound
 from .matrix_core import scalar_or_array
 
 
-def lagrangian_symmetry_check(s: ShapeOperatorSet, tol=DEFAULT_TOL) -> bool:
+def lagrangian_symmetry_check(s: ShapeOperatorSet, tol=DEFAULT_TOL):
     """Total symmetry of C[a, i, j] = (A_a)_ij under all index permutations.
 
     The operators are symmetric in (i, j) already, so swapping the normal
     index with a tangent index is the only condition left to verify.  The
     defect is compared with tol max|C|, so no flag depends on the scale; a
-    zero cube is symmetric.
+    zero cube is symmetric.  A bool for one point, a bool array for a stack.
     """
     if s.m != s.n:
         raise ValueError("Lagrangian frame requires codimension == dimension")
     cube = s.ops
-    defect = float(np.max(np.abs(cube - np.transpose(cube, (1, 0, 2)))))
-    return defect <= tol * float(np.max(np.abs(cube)))
+    defect = np.abs(cube - cube.swapaxes(-3, -2)).max(axis=(-3, -2, -1))
+    return scalar_or_array(defect <= tol * np.abs(cube).max(axis=(-3, -2, -1)))
 
 
 def h_umbilical(n, lam, mu) -> ShapeOperatorSet:
@@ -116,9 +116,10 @@ def csf_invariants(s: ShapeOperatorSet, c: float) -> CurvatureInvariants:
     symmetric cube C[a, i, j] = (A_a)_ij the middle sum is
     sum_k (tr A_k)^2 - sum C[a, i, j]^2 = n(n-1) |H|^2 - |b|^2, so every term
     comes from one `invariants` evaluation.  At c = 0 these are the flat
-    invariants, rho_perp to rounding.
+    invariants, rho_perp to rounding.  A stack is rejected if any of its
+    points fails the symmetry check.
     """
-    if not lagrangian_symmetry_check(s):  # which also rejects m != n
+    if not np.all(lagrangian_symmetry_check(s)):  # which also rejects m != n
         raise ValueError("operators fail the Lagrangian symmetry property")
     nn = s.n * (s.n - 1)
     inv = invariants(ShapeOperatorSet(s.ops, ambient_c=c))

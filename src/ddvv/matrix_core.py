@@ -20,8 +20,9 @@ import warnings
 
 import numpy as np
 
-# Asymmetry below the warn tolerance is silently fixed (JSON round-off);
-# between the two we warn; above the error tolerance the data is rejected.
+# Asymmetry max|A - A^T| of a matrix, relative to its largest entry: below
+# the warn tolerance it is silently fixed (JSON round-off); between the two
+# we warn; above the error tolerance the data is rejected.
 SYMMETRIZE_WARN_TOL = 1e-9
 SYMMETRIZE_ERR_TOL = 1e-6
 
@@ -35,8 +36,9 @@ def as_symmetric(a):
 
     Raises ValueError on an empty input, a NaN or infinite entry, or a
     symmetrized entry that overflows, and AsymmetricMatrixError if the
-    asymmetry of some matrix exceeds SYMMETRIZE_ERR_TOL in max-entry norm;
-    warns if it exceeds SYMMETRIZE_WARN_TOL.
+    asymmetry max|A - A^T| of some matrix exceeds SYMMETRIZE_ERR_TOL times
+    its largest entry; warns if it exceeds SYMMETRIZE_WARN_TOL times it.
+    So no verdict depends on the scale, and a zero matrix is symmetric.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -50,13 +52,17 @@ def as_symmetric(a):
         if np.isfinite(a).all():
             raise ValueError("symmetric part overflows the float range")
         raise ValueError("input has NaN or infinite entries")
-    asym = float(np.abs(a - at).max())
+    diff = a - at
+    if not diff.any():  # exactly symmetric: no scale needs to be taken
+        return sym
+    scale = np.abs(a).max(axis=(-2, -1))
+    asym = float((np.abs(diff).max(axis=(-2, -1)) / (scale + (scale == 0))).max())
     if asym > SYMMETRIZE_ERR_TOL:
         raise AsymmetricMatrixError(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRIZE_ERR_TOL:.1e}"
+            f"relative matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRIZE_ERR_TOL:.1e}"
         )
     if asym > SYMMETRIZE_WARN_TOL:
-        warnings.warn(f"symmetrizing matrix with asymmetry {asym:.3e}")
+        warnings.warn(f"symmetrizing matrix with relative asymmetry {asym:.3e}")
     return sym
 
 

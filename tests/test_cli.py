@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import ddvv
 from ddvv import cli, extremizer, inequalities, lagrangian
+from ddvv.matrix_core import random_orthogonal
 from reference import curvature_form_bound
 
 
@@ -100,6 +101,27 @@ def test_check_asymmetry_error(tmp_path):
     p = tmp_path / "asym.json"
     write_doc(p, doc)
     assert cli.main(["check", "--input", str(p)]) == 1
+
+
+def test_check_asymmetry_error_at_a_tiny_scale(tmp_path, capsys):
+    # the asymmetry is measured relative to the matrix's largest entry
+    doc = {"n": 2, "m": 1, "shape_operators": [[[0.0, 1e-12], [0.0, 0.0]]]}
+    p = tmp_path / "asym.json"
+    write_doc(p, doc)
+    assert cli.main(["check", "--input", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "input error: relative matrix asymmetry 1.000e+00 exceeds tolerance 1.0e-06\n")
+
+
+def test_check_accepts_a_large_rotated_point(tmp_path):
+    # rotating entries of 1e11 leaves an absolute asymmetry of about 3e-5,
+    # rounding relative to their size
+    g = np.random.default_rng(0).standard_normal((3, 4, 4))
+    o = random_orthogonal(4, 1)
+    ops = o.T @ (1e11 * (g + g.transpose(0, 2, 1)) / 2) @ o
+    p = tmp_path / "rotated.json"
+    write_doc(p, {"n": 4, "m": 3, "ambient_c": 0.0, "shape_operators": ops.tolist()})
+    assert cli.main(["check", "--input", str(p)]) == 0
 
 
 @pytest.mark.parametrize("field", ["shape_operators", "ambient_c", "overflow"])
@@ -694,8 +716,7 @@ def test_check_report_echoes_the_input_lists(tmp_path):
 def _dict_report(path, timestamp, tol=inequalities.DEFAULT_TOL):
     """The report of `check` on the document at `path` as a dict of its values."""
     s, label = cli.read_input_document(path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv, checks = inequalities.point_checks(s, tol)
+    inv, checks = inequalities.point_checks(s, tol)
     return {
         "tool_version": ddvv.__version__, "seed": None, "timestamp": timestamp,
         "input": cli.shape_set_to_document(s, label),

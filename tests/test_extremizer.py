@@ -464,6 +464,27 @@ def test_evaluate_matches_the_kernels_tuple_by_tuple(m, n):
         assert gain[k] == pytest.approx(np.sum(g[k] * g[k]), rel=1e-13, abs=1e-30)
 
 
+def test_gradient_norm_is_bounded_by_the_value_on_the_sphere():
+    # |g|^2 <= 64 f on the unit sphere, and f <= 1 there: a step of 1e-18
+    # predicts a gain below the rounding floor, so the floor rule of `ascend`
+    # stops a restart before its step can shrink that far
+    rng = np.random.default_rng(29)
+    floor = ex.FLOOR_ULPS * np.finfo(float).eps
+    for m in range(1, 13):
+        for n in range(2, 13):
+            # random tuples, and near-commuting ones where f and |g|^2 are small
+            diag = np.zeros((4, m, n, n))
+            diag[..., np.arange(n), np.arange(n)] = rng.standard_normal((4, m, n))
+            x = ex.normalize(np.concatenate([
+                _symmetric(rng, (8, m, n, n)), diag + 1e-6 * _symmetric(rng, (4, m, n, n))]))
+            value, _, gain = ex._evaluate(x)
+            assert np.all(gain <= 64.0 * value + 1e-15), (m, n)
+            assert np.all(value <= 1.0 + 1e-12), (m, n)
+            assert np.all(1e-18 * gain <= floor * np.maximum(1.0, value)), (m, n)
+    value, _, gain = ex._evaluate(cdk_tuple()[None])
+    assert value[0] == pytest.approx(1.0, abs=1e-15) and gain[0] <= 64.0 * value[0]
+
+
 @pytest.mark.parametrize("field,bad", [
     ("n", 2.5), ("m", 2.0), ("restarts", 2.0), ("max_iters", 2.5), ("seed", 1.5),
     ("n", True), ("restarts", np.True_), ("seed", "1"), ("max_iters", np.float64(3.0)),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -486,8 +488,7 @@ def test_degree_0_checks_are_exact_at_every_scale(kind):
     keep = (np.isfinite(scaled) & ((scaled != 0) == (ops != 0))).all(axis=(1, 2, 3))
     assert keep.sum() >= 1900
     base = ineq.point_checks(ShapeOperatorSet(ops))[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # the invariants overflow at the top
-        checks = ineq.point_checks(ShapeOperatorSet(scaled[keep]))[1]
+    checks = ineq.point_checks(ShapeOperatorSet(scaled[keep]))[1]  # overflows without a warning
     for i in (0, 4):
         got, want = checks[i], base[i]
         assert got.label == want.label
@@ -501,6 +502,22 @@ def test_lili_rhs_is_exact_at_tiny_scale():
     g = np.random.default_rng(3).standard_normal((3, 4, 4))
     lili = ineq.point_checks(ShapeOperatorSet(1e-160 * (g + g.transpose(0, 2, 1)) / 2))[1][4]
     assert lili.label == "li-li" and lili.rhs == 1.5 and lili.holds
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_the_bundle_and_its_views_raise_no_floating_point_warning(scale):
+    # one policy for the whole bundle: near the float range the invariants
+    # and sides read inf or NaN, and no view warns where another does not
+    g = np.random.default_rng(0).standard_normal((3, 4, 4))
+    ops = scale * (g + g.transpose(0, 2, 1)) / 2
+    s = ShapeOperatorSet(ops)
+    calls = (lambda: invariants(s), lambda: ineq.point_checks(s), lambda: ineq.chen_check(s),
+             lambda: ineq.weak_checks(s), lambda: ineq.lili_check(ops),
+             lambda: ineq.ddvv_check(traceless_project(ops)))
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call()
 
 
 @pytest.mark.parametrize("check", [ineq.ddvv_check, ineq.lili_check])
@@ -545,8 +562,7 @@ def test_lili_of_a_point_with_huge_mean_curvature():
     # |A|^2 overflows while the traceless parts are zero; the li-li sides
     # are taken on the unit stack and must not turn into NaN
     s = ShapeOperatorSet(np.stack([2.0 * np.eye(3), -np.eye(3)]) * 1e155)
-    with np.errstate(over="ignore", invalid="ignore"):  # |H|^2 itself overflows
-        lili = ineq.point_checks(s)[1][-1]
+    lili = ineq.point_checks(s)[1][-1]  # |H|^2 itself overflows
     assert lili.label == "li-li" and lili.holds
 
 

@@ -236,6 +236,32 @@ def test_csf_rejects_non_lagrangian():
         lg.csf_invariants(random_shape_set(3, 3, np.random.default_rng(9)), 1.0)
 
 
+def test_symmetry_and_csf_checks_decide_a_stack_per_point():
+    # a stack is decided point by point, with the bits of per-point calls
+    points = [lg.minimal_lagrangian_c3(1.0, 0.2, 0.3, 0.4), lg.h_umbilical(3, 1.3, -0.7),
+              lg.s3_equality_form(2.0), ShapeOperatorSet(np.zeros((3, 3, 3))),
+              ShapeOperatorSet(1e-12 * lg.minimal_lagrangian_c3(-0.5, 1.1, 0.0, 2.0).ops),
+              random_shape_set(3, 3, np.random.default_rng(4))]
+    stack = ShapeOperatorSet(np.stack([p.ops for p in points]))
+    single = [lg.lagrangian_symmetry_check(p) for p in points]
+    assert all(type(flag) is bool for flag in single) and single == [True] * 5 + [False]
+    flags = lg.lagrangian_symmetry_check(stack)
+    assert flags.shape == (len(points),)
+    np.testing.assert_array_equal(flags, single)
+    with pytest.raises(ValueError, match="Lagrangian symmetry"):  # one point fails
+        lg.csf_invariants(stack, 0.5)
+    lagrangian = ShapeOperatorSet(stack.ops[:5])
+    for c in (0.0, 0.5, -1.3):
+        got = lg.csf_check(lagrangian, c)
+        assert got.holds.shape == (5,)
+        for k, p in enumerate(points[:5]):
+            want = lg.csf_check(p, c)
+            assert (got.lhs[k], got.rhs[k], got.holds[k], got.equality[k]) == \
+                (want.lhs, want.rhs, want.holds, want.equality)
+    with pytest.raises(ValueError):  # m != n, on a stack too
+        lg.lagrangian_symmetry_check(random_shape_set(3, 2, np.random.default_rng(5), size=(2,)))
+
+
 ### ultra-minimal 2+2 block family
 
 

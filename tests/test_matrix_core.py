@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,13 @@ def test_traceless_project_symmetrizes_a_stack():
     np.testing.assert_array_equal(p, np.transpose(p, (0, 2, 1)))
 
 
+def _relative_trace(p):
+    """|tr P| / |P| of one matrix, on its exact power-of-two scaling; 0 for P = 0."""
+    b = mc.scale_pow2(p[None])[0][0]
+    norm = np.sqrt(np.sum(b * b))
+    return abs(np.trace(b)) / (norm + (norm == 0))
+
+
 def test_traceless_project_umbilic_stack_leaves_no_trace():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -102,6 +111,21 @@ def test_traceless_project_umbilic_stack_leaves_no_trace():
         # the exact result is zero: what is left is rounding of the result
         assert np.all(np.abs(np.trace(p, axis1=1, axis2=2)) <= 1e-15 * max(1.0, np.max(np.abs(p))))
         assert np.max(np.abs(p)) <= 1e-12
+    # the traceless parts of a point are checked for finiteness only: the
+    # two passes leave a trace of rounding relative to the result at every
+    # size and scale, near-umbilic and wide-range diagonal matrices included
+    for _ in range(900):
+        n = int(rng.integers(2, 40))
+        g = rng.standard_normal((n, n))
+        kind = rng.integers(3)
+        if kind == 0:
+            a = g + g.T
+        elif kind == 1:  # near-umbilic
+            a = rng.standard_normal() * np.eye(n) + 10.0 ** rng.uniform(-15, -3) * (g + g.T)
+        else:  # a diagonal over 16 decades
+            a = np.diag(rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n))
+        a *= 10.0 ** rng.uniform(-300, 300) / np.max(np.abs(a))
+        assert _relative_trace(mc.traceless_project(a)) <= 1e-14
 
 
 def test_as_symmetric_stack_validation():
@@ -158,9 +182,34 @@ def test_conjugate_commutes_with_commutator():
 
 
 def test_as_symmetric_policy():
-    a = np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]])
-    np.testing.assert_allclose(mc.as_symmetric(a), (a + a.T) / 2)
-    with pytest.warns(UserWarning):
-        mc.as_symmetric(np.array([[1.0, 2.0], [2.0 + 1e-8, 1.0]]))
+    # the asymmetry is relative to the largest entry, so every 2^k scaling
+    # gets the same verdict
+    for k in range(-60, 61):
+        a = np.ldexp(np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]]), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(mc.as_symmetric(a), (a + a.T) / 2)
+        with pytest.warns(UserWarning):
+            mc.as_symmetric(np.ldexp(np.array([[1.0, 2.0], [2.0 + 1e-8, 1.0]]), k))
+        with pytest.raises(mc.AsymmetricMatrixError):
+            mc.as_symmetric(np.ldexp(np.array([[1.0, 2.0], [2.0 + 1e-3, 1.0]]), k))
+
+
+def test_as_symmetric_tolerance_is_relative_to_each_matrix():
+    # a tiny matrix that is far from symmetric is rejected, as at scale 1
+    for scale in (1e-12, 1.0, 1e12):
+        with pytest.raises(mc.AsymmetricMatrixError, match="relative matrix asymmetry 1.000e"):
+            mc.as_symmetric(np.array([[0.0, scale], [0.0, 0.0]]))
+    # so is one next to a large matrix: each matrix is measured on its own entries
+    stack = np.stack([1e12 * np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(mc.AsymmetricMatrixError):
-        mc.as_symmetric(np.array([[1.0, 2.0], [2.0 + 1e-3, 1.0]]))
+        mc.as_symmetric(stack)
+    # a rotated point at entries of 1e11 is symmetric to rounding of its size
+    g = np.random.default_rng(0).standard_normal((3, 4, 4))
+    o = mc.random_orthogonal(4, 1)
+    ops = o.T @ (1e11 * (g + g.transpose(0, 2, 1)) / 2) @ o
+    assert np.abs(ops - ops.transpose(0, 2, 1)).max() > 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(mc.as_symmetric(ops), (ops + ops.transpose(0, 2, 1)) / 2)
+    np.testing.assert_array_equal(mc.as_symmetric(np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
