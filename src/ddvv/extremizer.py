@@ -4,7 +4,10 @@ Maximizes F(B_1, ..., B_m) = sum over ordered pairs of ||[B_a, B_b]||^2 on
 the unit sphere of traceless symmetric tuples (sum ||B_a||^2 = 1).  The
 ceiling is 1 for all (n, m) (Ge & Tang, 2008; Lu, 2011), attained on
 rank-2 rotated pairs.
-The restarts of a search advance together as one (R, m, n, n) stack.
+The restarts of a search advance together as one (R, m, n, n) stack.  Its
+per-tuple inner products and squared norms are `matrix_core.inner` and
+`sum_sq`, one BLAS dot per tuple, and `normalize` scales through
+`matrix_core.unit_stack`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import equality_certificate
-from .matrix_core import commutators_and_gram, sum_sq, traceless_project
+from .matrix_core import commutators_and_gram, inner, sum_sq, traceless_project, unit_stack
 
 VIOLATION_THRESHOLD = 1.0 + 1e-6
 STOP_REASONS = ("grad_tol", "line_search", "max_iters")
@@ -103,16 +106,6 @@ class SearchReport:
         }
 
 
-def _inner(a, b):
-    """<a, b> of each (m, n, n) tuple of two (..., m, n, n) stacks.
-
-    Each tuple takes one BLAS dot product, (1, K) @ (K, 1), the idiom of
-    `matrix_core.sum_sq`.
-    """
-    lead = a.shape[:-3]
-    return (a.reshape(*lead, 1, -1) @ b.reshape(*lead, -1, 1))[..., 0, 0]
-
-
 def objective(t):
     """Sum over ordered pairs (a, b) of ||[B_a, B_b]||^2 of one tuple or a stack.
 
@@ -129,12 +122,12 @@ def objective(t):
 
 
 def normalize(t):
-    """Traceless-project and scale each tuple so its total squared norm is 1."""
-    mats = traceless_project(t)
-    total = _inner(mats, mats)[..., None, None, None]
-    if np.any(total <= 0):
+    """Traceless-project and scale each tuple so its total squared norm is 1:
+    `unit_stack` of `traceless_project`; ValueError if a tuple projects to 0."""
+    mats = unit_stack(traceless_project(t))
+    if not mats.any(axis=(-3, -2, -1)).all():
         raise ValueError("cannot normalize a zero tuple")
-    return mats / np.sqrt(total)
+    return mats
 
 
 def gradient(t):
@@ -175,7 +168,7 @@ def riemannian_gradient(t):
     """
     mats = np.asarray(t, dtype=float)
     grad = gradient(mats)
-    grad -= _inner(grad, mats)[..., None, None, None] * mats
+    grad -= inner(grad, mats, 3)[..., None, None, None] * mats
     return grad
 
 
@@ -189,9 +182,9 @@ def _evaluate(mats):
     of `riemannian_gradient` bit for bit, and the value is clamped at 0.
     """
     g = gradient(mats)
-    radial = _inner(g, mats)
+    radial = inner(g, mats, 3)
     g -= radial[:, None, None, None] * mats
-    return np.maximum(radial / 4.0, 0.0), g, _inner(g, g)
+    return np.maximum(radial / 4.0, 0.0), g, sum_sq(g, 3)
 
 
 def ascend(config: SearchConfig, starts):
@@ -223,7 +216,7 @@ def ascend(config: SearchConfig, starts):
     Returns (values, tuples, outcomes): an (R,) array, an (R, m, n, n)
     array and a list of R RestartOutcomes.
     """
-    x = normalize(starts)
+    x = normalize(starts)  # projects multistart's starts again: reports depend on their bits
     value, rgrad, gain = _evaluate(x)
     r = len(x)
     # the working arrays hold the running restarts only; `row` maps them back
@@ -250,13 +243,13 @@ def ascend(config: SearchConfig, starts):
         # x + t g stays symmetric and traceless up to rounding: rescale only
         cand = step[:, None, None, None] * rgrad
         cand += x
-        cand /= np.sqrt(_inner(cand, cand))[:, None, None, None]  # as `normalize`
+        cand /= np.sqrt(sum_sq(cand, 3))[:, None, None, None]  # as `unit_stack`
         cand_value, cand_rgrad, cand_gain = _evaluate(cand)
         up = cand_value >= value + ARMIJO_SIGMA * step * gain
         # BB1 step of the move: <s, s> / |<s, y>|, s = x_new - x_old, y = g_new - g_old
         s = cand - x
         with np.errstate(divide="ignore", invalid="ignore"):
-            bb = _inner(s, s) / np.abs(_inner(s, cand_rgrad - rgrad))
+            bb = sum_sq(s, 3) / np.abs(inner(s, cand_rgrad - rgrad, 3))
         step = np.where(up, np.where(np.isfinite(bb) & (bb > 0), bb, step), STEP_SHRINK * step)
         down = ~up
         if down.any():  # a rejected restart keeps its iterate
@@ -294,7 +287,7 @@ def multistart(config: SearchConfig) -> SearchReport:
     batch = max(1, BATCH_ENTRIES // (config.m * config.n) ** 2)
     for first in range(0, config.restarts, batch):
         starts = traceless_project(_draw_starts(rng, min(batch, config.restarts - first), config))
-        values, xs, batch_outcomes = ascend(config, starts[_inner(starts, starts) > 0])
+        values, xs, batch_outcomes = ascend(config, starts[sum_sq(starts, 3) > 0])
         outcomes += batch_outcomes
         for value, x in zip(values, xs):
             # ties within 1e-12 keep the earliest restart for determinism

@@ -71,7 +71,9 @@ def _block(n, m, size, streams, tol):
 
     # orthogonal invariance (tangent conjugation and normal mixing)
     o_t = random_orthogonal(n, tangent_rng, (size, 1))
-    conj = ShapeOperatorSet(np.swapaxes(o_t, -1, -2) @ ops @ o_t, s.ambient_c)
+    # Oᵀ A O symmetrized bitwise as `as_symmetric` would, so validated on its fast branch
+    conj = np.swapaxes(o_t, -1, -2) @ ops @ o_t
+    conj = ShapeOperatorSet((conj + np.swapaxes(conj, -1, -2)) / 2.0, s.ambient_c)
     o_n = random_orthogonal(m, normal_rng, (size,))
     mixed = ShapeOperatorSet(
         (np.swapaxes(o_n, -1, -2) @ ops.reshape(size, m, n * n)).reshape(ops.shape),

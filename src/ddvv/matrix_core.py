@@ -6,7 +6,8 @@ matrices per leading index: `as_symmetric` validates a stack,
 scales each tuple exactly below 1, `unit_stack` scales it to total norm 1,
 `commutators_and_gram` gives every
 commutator [B_a, B_b] and the Gram matrix <B_a, B_b> from one product, and
-`sum_sq` is the squared norm over trailing axes.  A tuple without leading
+`inner` is the one per-tuple inner product over trailing axes, with the
+squared norm `sum_sq` its a = b case.  A tuple without leading
 axes is the batch-free case of the same code.  Seeded Haar-orthogonal
 generation, `random_orthogonal`, completes the module; the per-matrix
 references the tests compare the kernels against live with the tests.
@@ -93,16 +94,19 @@ def scalar_or_array(x):
     return x.item() if isinstance(x, (np.ndarray, np.generic)) else x
 
 
-def sum_sq(x, axes):
-    """Sum of squares over the last `axes` axes of an array, a float without
-    leading axes.
+def inner(a, b, axes):
+    """<a, b> over the last `axes` axes of two arrays of one shape, per leading
+    index: one BLAS dot, (1, K) @ (K, 1), each, so a point in a stack gets the
+    same bits as on its own.  An array, 0-d without leading axes."""
+    lead = a.shape[:a.ndim - axes]
+    rows = np.ascontiguousarray(a).reshape(*lead, 1, -1)
+    return (rows @ np.ascontiguousarray(b).reshape(*lead, -1, 1))[..., 0, 0]
 
-    Each leading index takes one BLAS dot product, (1, K) @ (K, 1), so a
-    point in a stack gets the same bits as on its own.
-    """
-    lead = x.shape[:x.ndim - axes]
-    flat = np.ascontiguousarray(x).reshape(*lead, 1, -1)
-    return scalar_or_array((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+
+def sum_sq(x, axes):
+    """Sum of squares over the last `axes` axes of an array, `inner(x, x, axes)`,
+    a float without leading axes."""
+    return scalar_or_array(inner(x, x, axes))
 
 
 def scale_pow2(mats):
@@ -120,12 +124,12 @@ def unit_stack(mats):
     """Each tuple of an (..., m, n, n) stack scaled to total norm 1, a zero tuple
     unscaled.
 
-    The norm is taken on the tuple of `scale_pow2`, so it neither overflows
+    The norm is `inner` on the tuple of `scale_pow2`, so it neither overflows
     nor underflows; away from overflow and underflow the result is
     mats / |mats| bit for bit.
     """
     mats = scale_pow2(mats)[0]
-    total = (mats * mats).sum(axis=(-3, -2, -1), keepdims=True)
+    total = inner(mats, mats, 3)[..., None, None, None]
     return mats / np.sqrt(total + (total == 0))  # a zero tuple is divided by 1
 
 

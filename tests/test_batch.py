@@ -125,6 +125,17 @@ def test_sum_sq_of_one_point_is_the_vdot_and_a_float():
         assert mc.sum_sq(ops, 3)[k] == one
 
 
+@pytest.mark.parametrize("batch", [3, 64])
+def test_inner_on_a_stack_is_per_tuple_calls_bit_for_bit(batch):
+    a, b = np.random.default_rng(batch).standard_normal((2, batch, 4, 5, 5))
+    got = mc.inner(a, b, 3)
+    assert got.shape == (batch,)
+    for k in range(batch):
+        one = mc.inner(a[k], b[k], 3)
+        assert one.shape == () and one == got[k]
+    np.testing.assert_array_equal(mc.sum_sq(a, 3), mc.inner(a, a, 3))
+
+
 def test_random_shape_set_takes_a_leading_size():
     from ddvv.fuzz import random_shape_set
 

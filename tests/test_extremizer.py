@@ -3,7 +3,7 @@ import pytest
 
 from ddvv import extremizer as ex
 from ddvv import inequalities as ineq
-from ddvv.matrix_core import random_orthogonal, sum_sq, traceless_project
+from ddvv.matrix_core import inner, random_orthogonal, sum_sq, traceless_project, unit_stack
 from reference import commutator, conjugate, frobenius_norm_sq, random_traceless_sym
 
 
@@ -50,6 +50,34 @@ def test_normalize():
     assert np.max(np.abs(np.trace(z, axis1=1, axis2=2))) <= 1e-14
     with pytest.raises(ValueError):
         ex.normalize(np.zeros((2, 3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(64, 6, 6, 6), (32, 8, 8, 8), (5, 2, 3, 3),
+                                   (8, 12, 12, 12), (3, 1, 2, 2)])
+def test_normalize_is_unit_stack_of_the_projection_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0])
+    for scale in (1e-3, 1.0, 1e3):
+        t = scale * rng.standard_normal(shape)
+        z = ex.normalize(t)
+        np.testing.assert_array_equal(z, unit_stack(traceless_project(t)))
+        # the exact 2^-e scaling of `unit_stack` leaves p / |p| unchanged
+        p = traceless_project(t)
+        np.testing.assert_array_equal(z, p / np.sqrt(inner(p, p, 3))[:, None, None, None])
+
+
+def test_normalize_raises_on_a_zero_tuple_in_a_stack():
+    stack = np.stack([random_tuple(2, 3, 70 + k) for k in range(4)])
+    stack[1] = 0.0
+    with pytest.raises(ValueError, match="zero tuple"):
+        ex.normalize(stack)
+    # a multiple of the identity projects to zero too
+    stack[1] = np.eye(3)
+    with pytest.raises(ValueError, match="zero tuple"):
+        ex.normalize(stack)
+    # a tiny tuple, whose squared norm underflows, is scaled exactly first
+    stack[1] = 1e-200 * stack[0]
+    z = ex.normalize(stack)
+    np.testing.assert_allclose(z[1], z[0], rtol=0, atol=1e-15)
 
 
 def test_gradient_zero_tuple():
@@ -107,11 +135,11 @@ def test_trial_step_after_an_accepted_move_is_the_bb_step(monkeypatch):
     (x, f, g, gain), step, moves = evaluations[0], ex.STEP_INIT, 0
     for cand, cand_f, cand_g, cand_gain in evaluations[1:]:
         expected = x + step * g
-        expected /= np.sqrt(ex._inner(expected, expected))[:, None, None, None]
+        expected /= np.sqrt(inner(expected, expected, 3))[:, None, None, None]
         np.testing.assert_allclose(cand, expected, rtol=0, atol=1e-15)
         if cand_f[0] >= f[0] + ex.ARMIJO_SIGMA * step * gain[0]:
             s, y = cand - x, cand_g - g
-            step = ex._inner(s, s)[0] / abs(ex._inner(s, y)[0])
+            step = inner(s, s, 3)[0] / abs(inner(s, y, 3)[0])
             x, f, g, gain = cand, cand_f, cand_g, cand_gain
             moves += 1
         else:

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ddvv import curvature, fuzz
+from ddvv import curvature, fuzz, inequalities
 from ddvv.curvature import ShapeOperatorSet
+from ddvv.matrix_core import random_orthogonal
 
 
 def test_run_fuzz_is_deterministic_per_seed():
@@ -67,3 +68,36 @@ def test_record_takes_a_bool_or_an_array():
     summary.record(False, "c")
     summary.record(np.array([False, True, True]), "b")
     assert (summary.hard_failures, summary.failure_labels) == (4, ["b", "c"])
+
+
+@pytest.mark.parametrize("n, m, size, seed", [(4, 4, 40, 3), (3, 2, 25, 8), (8, 8, 5, 1)])
+def test_symmetrized_conjugate_leaves_every_property_unchanged(monkeypatch, n, m, size, seed):
+    """The tangent conjugate Oᵀ A O is symmetrized before validation, bitwise as
+    `as_symmetric` symmetrized it: every set and every property array stays."""
+
+    def block(raw_conjugate):
+        children = np.random.SeedSequence(seed).spawn(4)
+        tangent = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[1])
+        sets = []
+
+        def build(ops, *args, **kwargs):
+            if len(sets) == 1:  # the tangent conjugate
+                assert np.array_equal(ops, np.swapaxes(ops, -1, -2))
+                if raw_conjugate:
+                    o = random_orthogonal(n, tangent, (size, 1))
+                    ops = np.swapaxes(o, -1, -2) @ sets[0].ops @ o
+            sets.append(ShapeOperatorSet(ops, *args, **kwargs))
+            return sets[-1]
+
+        monkeypatch.setattr(fuzz, "ShapeOperatorSet", build)
+        streams = [np.random.default_rng(child) for child in children]
+        return fuzz._block(n, m, size, streams, inequalities.DEFAULT_TOL), sets
+
+    (props, sets), (raw_props, raw_sets) = block(False), block(True)
+    assert len(sets) == len(raw_sets) == 3
+    for s, raw in zip(sets, raw_sets):
+        np.testing.assert_array_equal(s.ops, raw.ops)
+        np.testing.assert_array_equal(s.ambient_c, raw.ambient_c)
+    assert [label for label, _ in props] == [label for label, _ in raw_props]
+    for (_, ok), (_, raw_ok) in zip(props, raw_props):
+        np.testing.assert_array_equal(ok, raw_ok)
