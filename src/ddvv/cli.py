@@ -297,10 +297,11 @@ def cmd_family(args):
         if args.csf_c is not None:
             checks.append(lagrangian.csf_check(s, args.csf_c, tol))
         forms = closed_forms(inv, *p)
-        # past the float range a check decides on infinities, as at
-        # ultraminimal-c4 --a 1e160: no report is written
+        # past the float range a check decides on infinities: no report is written
         if not all(map(math.isfinite, chain(_INVARIANTS(inv), forms.values()))):
             raise OverflowError("an invariant or a closed form is not finite")
+        if not all(map(math.isfinite, chain.from_iterable((c.lhs, c.rhs) for c in checks))):
+            raise OverflowError("a check side is not finite")  # as at --csf-c 1e300
     except (TypeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
@@ -419,12 +420,8 @@ def main(argv=None):
         print(f"input error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
         return 1
     try:
-        # a point near the float range overflows in intermediate sums; the
-        # commands report such points themselves, so numpy's warnings only
-        # add noise on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            # looked up at call time, so a replaced cmd_* module attribute is the one called
-            return globals()[f"cmd_{args.command}"](args)
+        # looked up at call time, so a replaced cmd_* module attribute is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except OSError as e:  # each command reports an unreadable input itself
         print(f"output error: {e}", file=sys.stderr)
         return 1

@@ -100,9 +100,11 @@ def traceless_parts(s: ShapeOperatorSet) -> np.ndarray:
     """The traceless parts B_a = A_a - (tr A_a / n) I of the operators, (..., m, n, n).
 
     The operators are validated, so the projection is exactly symmetric and
-    traceless to rounding of its size; only its finiteness is checked.
+    traceless to rounding of its size; only its finiteness is checked, and
+    an overflow in it raises no floating-point warning.
     """
-    parts = traceless_project(s.ops)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite part is reported below
+        parts = traceless_project(s.ops)
     if not np.isfinite(parts).all():
         raise ValueError("traceless parts overflow the float range")
     return parts

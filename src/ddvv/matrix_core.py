@@ -40,6 +40,7 @@ def as_symmetric(a):
     asymmetry max|A - A^T| of some matrix exceeds SYMMETRIZE_ERR_TOL times
     its largest entry; warns if it exceeds SYMMETRIZE_WARN_TOL times it.
     So no verdict depends on the scale, and a zero matrix is symmetric.
+    An overflow in A + A^T or A - A^T raises no floating-point warning.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -47,13 +48,13 @@ def as_symmetric(a):
     if a.size == 0:
         raise ValueError(f"expected a nonempty input, got shape {a.shape}")
     at = a.swapaxes(-1, -2)
-    sym = (a + at) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sym is reported below
+        sym, diff = (a + at) / 2.0, a - at
     # a NaN or infinite entry of a leaves one in sym, so one scan finds both faults
     if not np.isfinite(sym).all():
         if np.isfinite(a).all():
             raise ValueError("symmetric part overflows the float range")
         raise ValueError("input has NaN or infinite entries")
-    diff = a - at
     if not diff.any():  # exactly symmetric: no scale needs to be taken
         return sym
     scale = np.abs(a).max(axis=(-2, -1))

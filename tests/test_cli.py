@@ -364,10 +364,13 @@ def test_out_of_memory_is_an_input_error(argv, monkeypatch, capsys):
     ["family", "h-umbilical", "--n", "3", "--lambda", "1e200", "--mu", "1e200"],
     ["family", "minimal-c3", "--a", "1e160", "--b", "1"],
     ["family", "ultraminimal-c4", "--a", "1e160"],
-    ["family", "eq51", "--a", "1e160", "--b", "1"]])
+    ["family", "eq51", "--a", "1e160", "--b", "1"],
+    ["family", "minimal-c3", "--a", "1", "--b", "1", "--csf-c", "1e300"],
+    ["family", "s3-equality", "--a", "1", "--csf-c", "1e160"]])
 def test_family_closed_form_overflow_is_an_input_error(tmp_path, argv, capsys):
     # the closed forms take Python float powers, which raise past the float
-    # range, and the invariants of the last two overflow to infinities
+    # range, the invariants of ultraminimal-c4 and eq51 overflow to
+    # infinities, and so do both csf sides, through c^2, at the last two
     out = tmp_path / "fam.json"
     assert cli.main([*argv, "--output", str(out)]) == 1
     captured = capsys.readouterr()

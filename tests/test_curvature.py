@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,11 @@ def test_traceless_parts_examples():
     s2 = ShapeOperatorSet(np.array([[[3.0, 0.0], [0.0, 1.0]]]))
     np.testing.assert_allclose(cv.traceless_parts(s2)[0],
                                [[1.0, 0.0], [0.0, -1.0]])
+    # the trace of 8e307 I overflows: an error alone, without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="traceless parts overflow"):
+            cv.traceless_parts(ShapeOperatorSet(8e307 * np.eye(3)[None]))
 
 
 def test_mean_curvature_sq_examples():

@@ -140,7 +140,7 @@ def test_as_symmetric_stack_validation():
     with pytest.raises(ValueError, match="NaN"):
         mc.as_symmetric(nan)
     huge = np.full((2, 2), 1.5e308)  # finite and symmetric, but A + A^T overflows
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match="overflows"):
         mc.as_symmetric(huge)
     with pytest.raises(ValueError):
         mc.as_symmetric(np.zeros((3, 2, 3)))
@@ -193,6 +193,16 @@ def test_as_symmetric_policy():
             mc.as_symmetric(np.ldexp(np.array([[1.0, 2.0], [2.0 + 1e-8, 1.0]]), k))
         with pytest.raises(mc.AsymmetricMatrixError):
             mc.as_symmetric(np.ldexp(np.array([[1.0, 2.0], [2.0 + 1e-3, 1.0]]), k))
+    # an overflow in A - A^T or in A + A^T is reported as an error alone,
+    # without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mc.AsymmetricMatrixError):
+            mc.as_symmetric([[0.0, 1.5e308], [-1.5e308, 0.0]])
+        with pytest.raises(ValueError, match="symmetric part overflows"):
+            mc.as_symmetric([[1.5e308, 1.5e308], [1.5e308, 0.0]])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            mc.as_symmetric([[0.0, np.inf], [-np.inf, 0.0]])
 
 
 def test_as_symmetric_tolerance_is_relative_to_each_matrix():
