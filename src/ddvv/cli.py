@@ -298,10 +298,9 @@ def cmd_family(args):
             checks.append(lagrangian.csf_check(s, args.csf_c, tol))
         forms = closed_forms(inv, *p)
         # past the float range a check decides on infinities: no report is written
-        if not all(map(math.isfinite, chain(_INVARIANTS(inv), forms.values()))):
-            raise OverflowError("an invariant or a closed form is not finite")
-        if not all(map(math.isfinite, chain.from_iterable((c.lhs, c.rhs) for c in checks))):
-            raise OverflowError("a check side is not finite")  # as at --csf-c 1e300
+        sides = chain.from_iterable((c.lhs, c.rhs) for c in checks)  # infinite at --csf-c 1e300
+        if not all(map(math.isfinite, chain(_INVARIANTS(inv), forms.values(), sides))):
+            raise OverflowError("an invariant, a closed form or a check side is not finite")
     except (TypeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1

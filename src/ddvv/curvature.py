@@ -15,7 +15,6 @@ an assumption made here.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -44,19 +43,12 @@ class ShapeOperatorSet:
             raise ValueError("need at least one shape operator")
         if ops.shape[-1] < 2:
             raise ValueError("tangent dimension must be >= 2")
-        c = self.ambient_c
-        if isinstance(c, (int, float)):  # a scalar is checked as one
-            finite = math.isfinite(c)
-            c = np.full(ops.shape[:-3], float(c)) if ops.ndim > 3 else float(c)
-        else:
-            c = np.array(c, dtype=float)  # a copy, frozen like ops
-            if c.shape != ops.shape[:-3]:
-                c = np.broadcast_to(c, ops.shape[:-3])
-            finite = np.isfinite(c).all()
-        if isinstance(c, np.ndarray):
-            c.setflags(write=False)
-        if not finite:
+        c = np.array(self.ambient_c, dtype=float)  # a copy, frozen like ops
+        if c.shape != ops.shape[:-3]:
+            c = np.broadcast_to(c, ops.shape[:-3])
+        if not np.isfinite(c).all():
             raise ValueError(f"ambient_c must be finite, got {self.ambient_c}")
+        c.setflags(write=False)
         ops = as_symmetric(ops)
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)

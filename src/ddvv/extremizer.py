@@ -225,9 +225,11 @@ def ascend(config: SearchConfig, starts):
     final_iters, final_stop = np.empty(r, dtype=int), np.empty(r, dtype=int)
     step = np.full(r, STEP_INIT)  # the next step each restart tries
     iters = np.ones(r, dtype=int)
-    stop = np.where(np.sqrt(gain) <= GRAD_TOL, STOP_GRAD_TOL, RUNNING)
+    stop = np.full(r, RUNNING)
     floor = FLOOR_ULPS * np.finfo(float).eps
     while True:
+        # a rejected restart's gain passed this test already and passes it again
+        stop[(stop == RUNNING) & (np.sqrt(gain) <= GRAD_TOL)] = STOP_GRAD_TOL
         stalled = step * gain <= floor * np.maximum(1.0, value)  # value >= 0, see `_evaluate`
         stop[(stop == RUNNING) & stalled] = STOP_LINE_SEARCH
         done = stop != RUNNING
@@ -258,9 +260,7 @@ def ascend(config: SearchConfig, starts):
         x, value, rgrad, gain = cand, cand_value, cand_rgrad, cand_gain
         out_of_iters = iters >= config.max_iters
         stop[up & out_of_iters] = STOP_MAX_ITERS
-        moved = up & ~out_of_iters  # these start a new iteration
-        iters += moved
-        stop[moved & (np.sqrt(gain) <= GRAD_TOL)] = STOP_GRAD_TOL
+        iters += up & ~out_of_iters  # these start a new iteration
     outcomes = [RestartOutcome(value=float(v), iterations=int(k), stop_reason=STOP_REASONS[s])
                 for v, k, s in zip(final_value, final_iters, final_stop)]
     return final_value, final_x, outcomes

@@ -12,7 +12,7 @@ point gives Python floats and bools.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,15 +134,13 @@ def lili_check(t, tol=DEFAULT_TOL) -> CheckResult:
     return point_checks(ShapeOperatorSet(t), tol)[1][4]
 
 
-@functools.cache
 def weak_constant_m(m: int) -> float:
     """Codimension-based constant sqrt((2m - 1) / (3m - 3))."""
     if m < 2:
         raise ValueError("constant requires m >= 2")
-    return float(np.sqrt((2 * m - 1) / (3 * m - 3)))
+    return math.sqrt((2 * m - 1) / (3 * m - 3))
 
 
-@functools.cache
 def weak_constant_n(n: int) -> float:
     """Dimension-based constant sqrt((2/3) (n^2 + n - 3) / (n^2 + n - 4)).
 
@@ -152,7 +150,7 @@ def weak_constant_n(n: int) -> float:
     """
     if n < 2:
         raise ValueError("constant requires n >= 2")
-    return float(np.sqrt((2.0 / 3.0) * (n * n + n - 3) / (n * n + n - 4)))
+    return math.sqrt((2.0 / 3.0) * (n * n + n - 3) / (n * n + n - 4))
 
 
 def point_checks(s: ShapeOperatorSet, tol=DEFAULT_TOL):

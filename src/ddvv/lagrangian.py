@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .curvature import CurvatureInvariants, ShapeOperatorSet, invariants
-from .inequalities import DEFAULT_TOL, CheckResult, _bound
+from .inequalities import DEFAULT_TOL, CheckResult, _bound, point_checks
 from .matrix_core import scalar_or_array
 
 
@@ -142,13 +142,14 @@ def csf_bound_rhs(rho: float, c: float) -> float:
 
 
 def csf_check(s: ShapeOperatorSet, c: float, tol=DEFAULT_TOL) -> CheckResult:
-    """The csf bound rho_perp^2 <= `csf_bound_rhs`(rho, c) of a minimal
-    Lagrangian set in holomorphic curvature 4c.  Its sides have degree 4, and
-    so has its tolerance tol D^2, D = |c| + |H|^2 + |b|^2 / (n(n-1)), so no
-    flag depends on the scale."""
+    """The csf bound rho_perp^2 <= `csf_bound_rhs`(rho, c) of a minimal Lagrangian
+    set in holomorphic curvature 4c, with the tolerance tol D^2 of its degree-4 sides,
+    D = |c| + |H|^2 + |b|^2 / (n(n-1)), and the ddvv equality of `point_checks`, as
+    its defect is the flat one, which c^2 terms cannot swamp: no flag depends on scale."""
     inv = csf_invariants(s, c)
     d = abs(c) + inv.h_sq + inv.b_sq / (s.n * (s.n - 1))
-    return _bound(inv.rho_perp**2, csf_bound_rhs(inv.rho, c), tol, "csf-bound", tol * d * d)
+    return _bound(inv.rho_perp**2, csf_bound_rhs(inv.rho, c), tol, "csf-bound", tol * d * d,
+                  equality=point_checks(s, tol)[1][0].equality)
 
 
 def ultraminimal_c4_22(a, b, c, d) -> ShapeOperatorSet:

@@ -106,6 +106,13 @@ def test_shape_set_broadcasts_ambient_c():
         ShapeOperatorSet(ops, [0.1, 0.2])
     with pytest.raises(ValueError):
         ShapeOperatorSet(ops, [0.1, np.nan, 0.2])
+    one = ShapeOperatorSet(ops[0], 2)  # a Python int c on one point is a float
+    assert type(one.ambient_c) is float and one.ambient_c == 2.0
+    zero_d = ShapeOperatorSet(ops, np.array(0.25))  # a 0-d array on a stack of 3
+    assert zero_d.ambient_c.shape == (3,) and np.all(zero_d.ambient_c == 0.25)
+    assert not zero_d.ambient_c.flags.writeable
+    with pytest.raises(ValueError):
+        ShapeOperatorSet(ops, None)
 
 
 def test_shape_set_keeps_its_own_frozen_ambient_c():

@@ -284,10 +284,14 @@ def test_family_reports_the_bundle_at_every_scale(family, tmp_path):
 
 @pytest.mark.parametrize("family, params, csf_c, flags", [
     ("minimal-c3", {"--a": 1.0, "--b": 1.0, "--c": 0.3}, 1.0, (True, False)),
-    ("s3-equality", {"--a": 1.0}, 0.5, (True, True))])
+    ("s3-equality", {"--a": 1.0}, 0.5, (True, True)),
+    # off the ddvv orbit, where the c^2 terms swamp the tolerance of the sides;
+    # at 4^40 times 1e120 the sides are still finite
+    ("minimal-c3", {"--a": 1.0, "--b": 1.0}, 1e120, (True, False)),
+    ("minimal-c3", {"--a": 1e-3, "--b": 1e-3}, 1e3, (True, False))])
 def test_csf_flags_do_not_depend_on_scale(family, params, csf_c, flags, tmp_path):
-    # the csf sides have degree 4, and so does the tolerance: the parameters
-    # at 2^k and c at 4^k give the same flags
+    # the csf sides have degree 4, and so does the tolerance, and the equality
+    # is ddvv's: the parameters at 2^k and c at 4^k give the same flags
     out = tmp_path / "fam.json"
     for k in range(-40, 41):
         argv = ["family", family, "--csf-c", repr(math.ldexp(csf_c, 2 * k))]
@@ -375,7 +379,7 @@ def test_family_closed_form_overflow_is_an_input_error(tmp_path, argv, capsys):
     assert cli.main([*argv, "--output", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("input error: ")
+    assert captured.err.startswith("input error: closed form outside the float range: ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
 

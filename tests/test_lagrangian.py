@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ddvv import curvature as cv
 from ddvv import lagrangian as lg
 from ddvv.curvature import ShapeOperatorSet
 from ddvv.fuzz import random_shape_set
+from ddvv.inequalities import point_checks
 from reference import commutator, frobenius_norm_sq
 
 
@@ -319,3 +322,91 @@ def test_c4_31_case_reduces_to_c3():
         # padding rescales the normalizations but keeps the raw sums
         assert rel_err(inv3.rho * 6, inv4.rho * 12) <= 1e-10
         assert rel_err(inv3.rho_perp * 6, inv4.rho_perp * 12) <= 1e-10
+
+
+### exact certificates in Python integers
+#
+# Each side below is a polynomial of degree at most 4 in each parameter, so
+# an identity that holds on the five-point grid {-2..2} in every parameter
+# holds for all parameters.
+
+GRID = range(-2, 3)
+
+
+def exact_sums(s):
+    """(Gauss sum, commutator sum S, n |b|^2) of integer operators, in Python
+    integers: sum_a sum_{i<j} (A_ii A_jj - A_ij^2), sum_{a,b} ||[A_a, A_b]||^2
+    and n sum |A_a|^2 - sum (tr A_a)^2."""
+    ops = s.ops.astype(int)
+    assert np.all(ops == s.ops)
+    ops = ops.tolist()
+    n = len(ops[0])
+    gauss = sum(a[i][i] * a[j][j] - a[i][j] ** 2
+                for a in ops for i in range(n) for j in range(i + 1, n))
+    comm = 0
+    for k, a in enumerate(ops):
+        for b in ops[k + 1:]:
+            ab = [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+            # [A, B] = AB - (AB)^T for symmetric A and B, and [B, A] = -[A, B]
+            comm += 2 * sum((ab[i][j] - ab[j][i]) ** 2 for i in range(n) for j in range(n))
+    n_b_sq = n * sum(x * x for a in ops for row in a for x in row) \
+        - sum(sum(a[i][i] for i in range(n)) ** 2 for a in ops)
+    return gauss, comm, n_b_sq
+
+
+def ddvv_equality(points):
+    """The ddvv equality flags of `point_checks` on a list of points."""
+    stack = ShapeOperatorSet(np.stack([s.ops for s in points]))
+    return point_checks(stack)[1][0].equality.tolist()
+
+
+@pytest.mark.parametrize("family, closed, defect", [
+    (lg.minimal_lagrangian_c3, lg.c3_closed,
+     lambda a, b, c, d: 6 * (a * a * b * b + (a + b) ** 2 * (c * c + d * d))),
+    (lg.ultraminimal_c4_22, lg.c4_closed,
+     lambda a, b, c, d: 8 * (a * a + b * b) * (c * c + d * d))], ids=["c3", "c4"])
+def test_cn_families_are_exact_certificates(family, closed, defect):
+    # the closed forms are 3 rho = sum and 9 rho_perp^2 = S / 4 at n = 3, and
+    # 6 rho = sum and 36 rho_perp^2 = S / 4 at n = 4: four times the DDVV
+    # defect (n(n-1) rho / 2)^2 - (n(n-1) rho_perp / 2)^2 is 4 sum^2 - S
+    params = list(itertools.product(GRID, repeat=4))
+    points, zero = [family(*p) for p in params], []
+    for p, s in zip(params, points):
+        gauss, comm, _ = exact_sums(s)
+        rho_form, rho_perp_sq_form = closed(*p)
+        assert (rho_form, 4 * rho_perp_sq_form) == (gauss, comm), p
+        assert 4 * gauss * gauss - comm == 4 * defect(*p), p
+        zero.append(defect(*p) == 0)
+    assert ddvv_equality(points) == zero
+    assert 0 < sum(zero) < len(zero)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_h_umbilical_is_an_exact_certificate(n):
+    # S = lhs, |b|^4 = rhs and rhs - lhs = (n - 1) q for the closed forms of
+    # `h_umbilical_closed`, q = 2n X^2 - (4/n) X Y + ((n-1)/n^2) Y^2 with
+    # X = mu^2 and Y = (lam - mu)^2; rhs and q are taken times n^2, in integers
+    points, zero = [], []
+    for lam, mu in itertools.product(GRID, repeat=2):
+        s = lg.h_umbilical(n, lam, mu)
+        _, comm, n_b_sq = exact_sums(s)
+        x, y = mu * mu, (lam - mu) ** 2
+        lhs = 2 * (n - 1) * x * ((n - 2) * x + 2 * y)
+        rhs = (n - 1) ** 2 * (y + 2 * n * x) ** 2  # n^2 times the closed rhs
+        q = 2 * n**3 * x * x - 4 * n * x * y + (n - 1) * y * y  # n^2 q
+        assert comm == lhs and n_b_sq**2 == rhs
+        assert rhs - n * n * lhs == (n - 1) * q
+        for got, num, den in zip(lg.h_umbilical_closed(n, lam, mu), (lhs, rhs, q), (1, n * n, n * n)):
+            # |got - num / den| <= 4e-16 |num / den|, exactly in integers
+            p, r = got.as_integer_ratio()
+            assert abs(p * den - num * r) * 10**16 <= 4 * abs(num) * r, (lam, mu, got)
+        points.append(s)
+        zero.append(q == 0)
+    assert ddvv_equality(points) == zero
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_h_umbilical_quartic_discriminant(n):
+    # n^2 q has coefficients 2n^3, -4n, n - 1: the discriminant of q is
+    # -8 (n - 2)(n + 1) / n^2, so q >= 0, and q is a square at n = 2
+    assert (4 * n) ** 2 - 4 * (2 * n**3) * (n - 1) == -8 * (n - 2) * (n + 1) * n**2
