@@ -45,14 +45,14 @@ class FuzzSummary:
     def record(self, ok, label):
         """Count each False in `ok`, a bool or a bool array, as a failure of `label`."""
         failures = int(np.size(ok) - np.count_nonzero(ok))
-        if failures:
-            self.hard_failures += failures
-            if label not in self.failure_labels:
-                self.failure_labels.append(label)
+        self.hard_failures += failures
+        if failures and label not in self.failure_labels:
+            self.failure_labels.append(label)
 
 
 def _block(n, m, size, streams, tol):
-    """(label, ok per sample) of every property over `size` new samples.
+    """(labels, ok) over `size` new samples: ok[p, k] says whether property
+    labels[p] holds on sample k.
 
     Each kind of draw has its own stream and takes it sample by sample, so
     sample k is the same whatever the block sizes.
@@ -61,13 +61,8 @@ def _block(n, m, size, streams, tol):
     u = uniform_rng.random((size, 3))
     s = random_shape_set(n, m, ops_rng, size=(size,), ambient_c=2.0 * u[:, 0] - 1.0)
     ops = s.ops
-
-    # dual-route agreement
     inv, checks = inequalities.point_checks(s, tol)
-    rho_a = curvature.rho_direct(s)
-    rp_a = curvature.rho_perp_direct(s)
-    props = [("rho-dual-route", _rel_err(rho_a, inv.rho) <= REL_TOL),
-             ("rho-perp-dual-route", _rel_err(rp_a, inv.rho_perp) <= REL_TOL)]
+    rho_a, rp_a = curvature.rho_direct(s), curvature.rho_perp_direct(s)
 
     # orthogonal invariance (tangent conjugation and normal mixing)
     o_t = random_orthogonal(n, tangent_rng, (size, 1))
@@ -78,22 +73,25 @@ def _block(n, m, size, streams, tol):
     mixed = ShapeOperatorSet(
         (np.swapaxes(o_n, -1, -2) @ ops.reshape(size, m, n * n)).reshape(ops.shape),
         s.ambient_c)
-    for name, other in (("tangent", conj), ("normal", mixed)):
-        props += [(f"rho-{name}-invariance",
-                   _rel_err(curvature.rho_direct(other), rho_a) <= REL_TOL),
-                  (f"rho-perp-{name}-invariance",
-                   _rel_err(curvature.rho_perp_direct(other), rp_a) <= REL_TOL)]
-    props.append(("h-sq-normal-invariance",
-                  _rel_err(curvature.mean_curvature_sq(mixed), inv.h_sq) <= REL_TOL))
 
-    # theorem-status inequalities
-    props += [(check.label, check.holds) for check in checks]
+    # (label, value, reference) of the dual routes and the invariances, one
+    # relative error over all of them, then the theorem-status inequalities
+    routes = [("rho-dual-route", rho_a, inv.rho),
+              ("rho-perp-dual-route", rp_a, inv.rho_perp)]
+    for name, other in (("tangent", conj), ("normal", mixed)):
+        routes += [(f"rho-{name}-invariance", curvature.rho_direct(other), rho_a),
+                   (f"rho-perp-{name}-invariance", curvature.rho_perp_direct(other), rp_a)]
+    routes.append(("h-sq-normal-invariance", curvature.mean_curvature_sq(mixed), inv.h_sq))
+    labels, values, refs = map(list, zip(*routes))
+    labels += [check.label for check in checks]
+    ok = [_rel_err(np.array(values), np.array(refs)) <= REL_TOL, *(c.holds for c in checks)]
     if m >= 2:
         i = (u[:, 1] * m).astype(int)
         j = (i + 1 + (u[:, 2] * (m - 1)).astype(int)) % m
         k = np.arange(size)
-        props.append(("cdk", inequalities.cdk_check(ops[k, i], ops[k, j], tol).holds))
-    return props
+        labels.append("cdk")
+        ok.append(inequalities.cdk_check(ops[k, i], ops[k, j], tol).holds)
+    return labels, np.vstack(ok)
 
 
 def run_fuzz(n, m, samples, seed, tol=inequalities.DEFAULT_TOL):
@@ -113,8 +111,9 @@ def run_fuzz(n, m, samples, seed, tol=inequalities.DEFAULT_TOL):
     summary = FuzzSummary(samples=samples)
     block = max(1, BLOCK_ENTRIES // (m * n) ** 2)
     for first in range(0, samples, block):
-        props = _block(n, m, min(block, samples - first), streams, tol)
-        # a stable sort by first failing sample keeps suite order within one
-        for label, ok in sorted(props, key=lambda p: p[1].size if p[1].all() else p[1].argmin()):
-            summary.record(ok, label)
+        labels, ok = _block(n, m, min(block, samples - first), streams, tol)
+        # failing properties by first failing sample; the stable sort keeps suite order within one
+        failing = np.flatnonzero(~ok.all(axis=1))
+        for p in failing[np.argsort(ok[failing].argmin(axis=1), kind="stable")]:
+            summary.record(ok[p], labels[p])
     return summary

@@ -123,9 +123,10 @@ def csf_invariants(s: ShapeOperatorSet, c: float) -> CurvatureInvariants:
         raise ValueError("operators fail the Lagrangian symmetry property")
     nn = s.n * (s.n - 1)
     inv = invariants(ShapeOperatorSet(s.ops, ambient_c=c))
-    ambient = 4.0 * c * (nn * inv.h_sq - inv.b_sq) + 2.0 * c * c * nn
+    # the ambient terms over nn^2, divided before c^2 nn can overflow
+    ambient = 4.0 * c * (inv.h_sq - inv.b_sq / nn) / nn + 2.0 * c * c / nn
     # a sum of squares, which rounding must not take below 0
-    rho_perp = scalar_or_array(np.sqrt(np.maximum(inv.rho_perp**2 + ambient / nn**2, 0.0)))
+    rho_perp = scalar_or_array(np.sqrt(np.maximum(inv.rho_perp**2 + ambient, 0.0)))
     return replace(inv, rho_perp=rho_perp, slack=inv.h_sq - rho_perp + c - inv.rho)
 
 

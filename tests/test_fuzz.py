@@ -70,10 +70,39 @@ def test_record_takes_a_bool_or_an_array():
     assert (summary.hard_failures, summary.failure_labels) == (4, ["b", "c"])
 
 
+def test_failure_labels_follow_the_first_failing_sample(monkeypatch):
+    """li-li fails first, chen and weak-dim tie on a later sample and ddvv comes
+    last: the labels follow the first failing sample, suite order breaking ties."""
+    n, m, samples, seed = 3, 2, 12, 4
+    original = inequalities.point_checks
+    seen = []
+
+    def recording(s, tol):
+        seen.append(s.ops[:, 0, 0, 0])
+        return original(s, tol)
+
+    monkeypatch.setattr(inequalities, "point_checks", recording)
+    assert fuzz.run_fuzz(n, m, samples, seed) == fuzz.FuzzSummary(samples=samples)
+    first_entry = np.concatenate(seen)  # tells the samples apart
+    fails_on = {"ddvv": [9, 10], "chen": [5], "weak-dim": [5, 11], "li-li": [3, 6]}
+
+    def faulty(s, tol):
+        inv, checks = original(s, tol)
+        return inv, [dataclasses.replace(c, holds=c.holds & ~np.isin(
+            s.ops[:, 0, 0, 0], first_entry[fails_on.get(c.label, [])])) for c in checks]
+
+    monkeypatch.setattr(inequalities, "point_checks", faulty)
+    for block in (1, 7, samples):
+        monkeypatch.setattr(fuzz, "BLOCK_ENTRIES", block * (m * n) ** 2)
+        summary = fuzz.run_fuzz(n, m, samples, seed)
+        assert summary.failure_labels == ["li-li", "chen", "weak-dim", "ddvv"]
+        assert type(summary.hard_failures) is int and summary.hard_failures == 7
+
+
 @pytest.mark.parametrize("n, m, size, seed", [(4, 4, 40, 3), (3, 2, 25, 8), (8, 8, 5, 1)])
 def test_symmetrized_conjugate_leaves_every_property_unchanged(monkeypatch, n, m, size, seed):
     """The tangent conjugate Oᵀ A O is symmetrized before validation, bitwise as
-    `as_symmetric` symmetrized it: every set and every property array stays."""
+    `as_symmetric` symmetrized it: every set and the property table stay."""
 
     def block(raw_conjugate):
         children = np.random.SeedSequence(seed).spawn(4)
@@ -93,11 +122,10 @@ def test_symmetrized_conjugate_leaves_every_property_unchanged(monkeypatch, n, m
         streams = [np.random.default_rng(child) for child in children]
         return fuzz._block(n, m, size, streams, inequalities.DEFAULT_TOL), sets
 
-    (props, sets), (raw_props, raw_sets) = block(False), block(True)
+    ((labels, ok), sets), ((raw_labels, raw_ok), raw_sets) = block(False), block(True)
     assert len(sets) == len(raw_sets) == 3
     for s, raw in zip(sets, raw_sets):
         np.testing.assert_array_equal(s.ops, raw.ops)
         np.testing.assert_array_equal(s.ambient_c, raw.ambient_c)
-    assert [label for label, _ in props] == [label for label, _ in raw_props]
-    for (_, ok), (_, raw_ok) in zip(props, raw_props):
-        np.testing.assert_array_equal(ok, raw_ok)
+    assert labels == raw_labels
+    np.testing.assert_array_equal(ok, raw_ok)

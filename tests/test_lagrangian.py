@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ddvv import cli
 from ddvv import curvature as cv
 from ddvv import lagrangian as lg
 from ddvv.curvature import ShapeOperatorSet
@@ -237,6 +238,18 @@ def test_csf_inequality_fuzz():
 def test_csf_rejects_non_lagrangian():
     with pytest.raises(ValueError):
         lg.csf_invariants(random_shape_set(3, 3, np.random.default_rng(9)), 1.0)
+
+
+def test_csf_sides_near_the_float_range_keep_their_flags(capsys):
+    # at C = 4.096e153 the sides are about C^2 / 3 = 5.6e306, though 2 C^2 n(n-1) overflows
+    def family(a, b, c):
+        code = cli.main(["family", "minimal-c3", "--a", a, "--b", b, "--csf-c", c])
+        out = capsys.readouterr().out.splitlines()
+        return code, [(line.split()[0], line.split()[-1]) for line in out]
+
+    near = family("64", "64", "4.096e153")
+    assert near == family("1", "1", "1e150")
+    assert near[0] == 0 and near[1][-1] == ("csf-bound", "[ok]")
 
 
 def test_symmetry_and_csf_checks_decide_a_stack_per_point():
